@@ -25,6 +25,7 @@
 // regression in the shared run flips the warm-speedup gate — either exits
 // nonzero and fails scripts/check.sh and the CI bench job outright.
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <string>
@@ -73,6 +74,11 @@ std::uint64_t& AnchorBuilds() {
   static std::uint64_t b = 0;
   return b;
 }
+// The same lone cold request's wall clock, which sizes the bursts' deadline.
+double& AnchorSeconds() {
+  static double s = 0.0;
+  return s;
+}
 
 RunResult ToRunResult(const QueryResponse& response, double seconds) {
   RunResult r;
@@ -83,12 +89,21 @@ RunResult ToRunResult(const QueryResponse& response, double seconds) {
   return r;
 }
 
-QueryRequest BurstRequest(const char* text) {
+// A runaway guard, not a gate. The lone-cold anchor runs without one
+// (timeout_seconds = 0): a fixed quick-mode deadline can be shorter than
+// one cold 5-cycle. A burst member's deadline is the time of a whole FIFO
+// burst run back to back — kBurst anchor runs, more than any one of 8
+// requests on 4 workers needs — and never less than Timeout().
+QueryRequest BurstRequest(const char* text, double timeout_seconds) {
   QueryRequest request;
   request.query_text = text;
   request.mode = "count";
-  request.timeout_ms = static_cast<std::uint64_t>(Timeout() * 1000.0);
+  request.timeout_ms = static_cast<std::uint64_t>(timeout_seconds * 1000.0);
   return request;
+}
+
+double BurstTimeout() {
+  return std::max(Timeout(), kBurst * AnchorSeconds());
 }
 
 ServiceOptions BurstOptions(bool batched, std::uint64_t window_ms = 1000) {
@@ -118,7 +133,7 @@ void BurstBody(benchmark::State& state, bool batched, bool warm,
                const std::string& name) {
   for (auto _ : state) {
     QueryService service(SnapDb("wiki-Vote"), BurstOptions(batched));
-    const QueryRequest request = BurstRequest(kFiveCycle);
+    const QueryRequest request = BurstRequest(kFiveCycle, BurstTimeout());
     if (warm) {
       CLFTJ_CHECK(service.Execute(request).status == RunStatus::kOk);
     }
@@ -165,9 +180,10 @@ void MixedBody(benchmark::State& state, bool batched,
                          BurstOptions(batched, /*window_ms=*/150));
     Timer timer;
     std::vector<std::future<QueryResponse>> futures;
+    const double timeout = BurstTimeout();
     for (int i = 0; i < kBurst / 2; ++i) {
-      futures.push_back(service.Submit(BurstRequest(kTriangle)));
-      futures.push_back(service.Submit(BurstRequest(kFiveCycle)));
+      futures.push_back(service.Submit(BurstRequest(kTriangle, timeout)));
+      futures.push_back(service.Submit(BurstRequest(kFiveCycle, timeout)));
     }
     QueryResponse last;
     for (auto& f : futures) {
@@ -182,7 +198,8 @@ void MixedBody(benchmark::State& state, bool batched,
 
 void RegisterAll() {
   // Anchor: one lone cold request, to learn the substrate-build budget the
-  // batched cold burst must stay within. Not compared by time.
+  // batched cold burst must stay within and the time that sizes the burst
+  // deadline. Not compared by time.
   benchmark::RegisterBenchmark(
       "BatchAdmission/wiki-Vote/5-cycle/lone-cold",
       [](benchmark::State& state) {
@@ -190,9 +207,10 @@ void RegisterAll() {
           QueryService service(SnapDb("wiki-Vote"), BurstOptions(false));
           Timer timer;
           const QueryResponse response =
-              service.Execute(BurstRequest(kFiveCycle));
+              service.Execute(BurstRequest(kFiveCycle, /*timeout_seconds=*/0));
           CLFTJ_CHECK(response.status == RunStatus::kOk);
           AnchorBuilds() = response.stats.substrate_builds;
+          AnchorSeconds() = timer.Seconds();
           PublishResult(state, ToRunResult(response, timer.Seconds()),
                         "BatchAdmission/wiki-Vote/5-cycle/lone-cold",
                         "fifo burst=1 workers=4");

@@ -228,29 +228,6 @@ class CacheManager {
     return doomed.size();
   }
 
-  /// Read-only iteration over every live entry: fn(node, values, dims,
-  /// value) with `values` pointing at the entry's adhesion key values
-  /// (reconstructed the same way EvictIf's collection pass does). Used by
-  /// cross-shape seeding (docs/serving.md "Batch admission") to copy count
-  /// entries between shapes; charges no stats and never mutates the table,
-  /// so recency and probe chains are untouched.
-  template <typename Fn>
-  void ForEach(const Fn& fn) const {
-    Value inline_vals[2];
-    for (const Slot& s : slots_) {
-      if (!s.occupied()) continue;
-      const Value* vals;
-      if (s.wide()) {
-        vals = arena_.data() + s.lo;
-      } else {
-        inline_vals[0] = static_cast<Value>(s.lo);
-        inline_vals[1] = static_cast<Value>(s.hi);
-        vals = inline_vals;
-      }
-      fn(s.node, vals, static_cast<int>(s.dims), s.value);
-    }
-  }
-
   /// Current number of entries across all node caches.
   std::size_t size() const { return size_; }
 
@@ -602,11 +579,12 @@ struct HotPayload<V, false> {
 /// serialize. Every hot-slot field is individually atomic (the seq check
 /// only guards against a *mixed* snapshot from two writes), writers are
 /// already serialized by the stripe mutex, and wide keys are never
-/// published. Hot hits skip the stripe's stat counters and LRU refresh
-/// (recency becomes approximate for hot keys — acceptable for the
-/// persistent caches, which are the only users); EvictIf clears a
-/// stripe's hot slots so targeted invalidation cannot leave a deleted
-/// entry readable. An entry evicted by *capacity* churn may linger in a
+/// published. A hot hit bumps only the stripe's atomic hot_hits, which
+/// AggregatedStats folds into cache_hits and memory_accesses (one slot
+/// inspected); it skips the LRU refresh (recency becomes approximate for
+/// hot keys — acceptable for the persistent caches, which are the only
+/// users). EvictIf clears a stripe's hot slots so targeted invalidation
+/// cannot leave a deleted entry readable. An entry evicted by *capacity* churn may linger in a
 /// hot slot: that is safe, because cached payloads are deterministic per
 /// (generation, key) — serving one is bit-identical to recomputing it.
 template <typename V>
@@ -678,13 +656,18 @@ class StripedCacheManager {
   /// Per-stripe counters summed in ascending stripe order — flow counters
   /// *and* peaks (the stripes coexist, so the table's peak footprint is the
   /// sum of stripe peaks, an upper bound on the instantaneous global peak).
-  /// Call only when no worker is mid-operation (after joins).
+  /// Hot-slot hits count as cache hits charged one memory access each (one
+  /// slot inspected, the docs/cache.md rule). Call only when no worker is
+  /// mid-operation (after joins).
   ExecStats AggregatedStats() const {
     ExecStats out;
     std::uint64_t entries_peak = 0;
     std::uint64_t bytes_peak = 0;
     for (const auto& s : stripes_) {
       out.Merge(s->stats);  // flow counters sum; Merge max-merges peaks...
+      const std::uint64_t hot = s->hot_hits.load(std::memory_order_relaxed);
+      out.cache_hits += hot;
+      out.memory_accesses += hot;
       entries_peak += s->stats.cache_entries_peak;
       bytes_peak += s->stats.cache_bytes_peak;
     }
@@ -708,16 +691,6 @@ class StripedCacheManager {
       ClearHot(*s);
     }
     return total;
-  }
-
-  /// Read-only iteration over every live entry in every stripe (each under
-  /// its mutex); see CacheManager::ForEach. Used by cross-shape seeding.
-  template <typename Fn>
-  void ForEach(const Fn& fn) {
-    for (const auto& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cache.ForEach(fn);
-    }
   }
 
   /// Lock-free hot-slot hits served since construction (test/bench

@@ -95,11 +95,6 @@ struct CachedPlan {
   /// when the admission policy needs it (admit-all otherwise).
   AdmissionFilter admission;
 
-  /// True if a hit at `node` can skip anything (its subtree owns depths).
-  bool HasSubtree(NodeId node) const {
-    return subtree_last_depth[node] >= first_depth[node];
-  }
-
   /// Packs the adhesion assignment µ|α of `node` from the global partial
   /// assignment (indexed by VarId). Adhesions wider than
   /// PackedKey::kInlineDims are staged in *wide_buf, which must stay alive

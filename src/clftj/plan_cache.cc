@@ -115,80 +115,4 @@ std::size_t PlanCache::Size() const {
   return lru_.size();
 }
 
-std::vector<std::string> SubtreeSignatures(const CachedPlan& plan,
-                                           const std::vector<Atom>& atoms) {
-  const int num_nodes = static_cast<int>(plan.cacheable.size());
-  std::vector<std::string> out(num_nodes);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (!plan.cacheable[n] || !plan.HasSubtree(n)) continue;
-    const int lo = plan.first_depth[n];
-    const int hi = plan.subtree_last_depth[n];
-    const std::vector<VarId>& adhesion = plan.adhesion_vars[n];
-    const auto owned = [&](VarId x) {
-      const int r = plan.var_rank[x];
-      return r >= lo && r <= hi;
-    };
-    const auto adhesion_index = [&](VarId x) {
-      for (std::size_t i = 0; i < adhesion.size(); ++i) {
-        if (adhesion[i] == x) return static_cast<int>(i);
-      }
-      return kNone;
-    };
-    // Canonical owned-variable numbering: first occurrence scanning the
-    // participating atoms in textual order (the same scheme
-    // CanonicalShapeKey uses for whole queries).
-    std::vector<int> owned_number(plan.var_rank.size(), kNone);
-    int next_owned = 0;
-    std::string sig;
-    bool matchable = true;
-    for (const Atom& atom : atoms) {
-      bool participates = false;
-      for (const Term& t : atom.terms) {
-        if (t.is_variable && owned(t.var)) {
-          participates = true;
-          break;
-        }
-      }
-      if (!participates) continue;
-      sig += atom.relation;
-      sig += '(';
-      bool first = true;
-      for (const Term& t : atom.terms) {
-        if (!first) sig += ',';
-        first = false;
-        if (!t.is_variable) {
-          sig += '=';
-          sig += std::to_string(t.constant);
-          continue;
-        }
-        if (owned(t.var)) {
-          if (owned_number[t.var] == kNone) owned_number[t.var] = next_owned++;
-          sig += 'v';
-          sig += std::to_string(owned_number[t.var]);
-          continue;
-        }
-        const int ai = adhesion_index(t.var);
-        if (ai == kNone) {
-          // The subjoin depends on a bound variable that is not part of
-          // the adhesion key: its cached counts are conditioned on context
-          // the signature cannot name. Never matchable.
-          matchable = false;
-          break;
-        }
-        sig += 'a';
-        sig += std::to_string(ai);
-      }
-      if (!matchable) break;
-      sig += ");";
-    }
-    // Pin the adhesion arity: a bag may carry an adhesion variable that
-    // appears in no participating atom, and keys of different dims must
-    // never match positionally.
-    sig += '#';
-    sig += std::to_string(adhesion.size());
-    if (matchable) out[n] = std::move(sig);
-  }
-  return out;
-}
-
 }  // namespace clftj

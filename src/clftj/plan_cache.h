@@ -72,28 +72,6 @@ class PlanCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
 };
 
-/// Canonical *subjoin signatures* for cross-shape cache seeding (see
-/// docs/serving.md "Batch admission"). For each cacheable node n of `plan`,
-/// the signature renders the subjoin that node's cache entries summarize —
-/// the atoms touching the subtree's owned depths, with adhesion variables
-/// numbered by their AdhesionKey packing position (`a0`, `a1`, ...), owned
-/// variables by first occurrence across the participating atoms in textual
-/// order (`v0`, `v1`, ...), and constants verbatim (`=c`). Two nodes with
-/// equal signatures cache, for every adhesion key, the count of the *same*
-/// subjoin — so count-mode entries are interchangeable between shapes even
-/// when the surrounding queries differ (a 2-path's deep node seeds a
-/// 3-path's; a 4-cycle's seeds a 5-cycle's).
-///
-/// Entries are "" (never matchable) for non-cacheable nodes and for nodes
-/// whose participating atoms reach variables that are neither owned by the
-/// subtree nor in the adhesion — such a subjoin depends on context the
-/// signature cannot canonicalize. Eval-mode payloads are plan-structured
-/// (factorized sets reference sibling nodes) and must never be seeded
-/// across plans; this signature deliberately describes only the count
-/// semantics.
-std::vector<std::string> SubtreeSignatures(const CachedPlan& plan,
-                                           const std::vector<Atom>& atoms);
-
 }  // namespace clftj
 
 #endif  // CLFTJ_CLFTJ_PLAN_CACHE_H_

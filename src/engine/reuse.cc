@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
-#include <utility>
 
 #include "query/shape.h"
-#include "util/timer.h"
 
 namespace clftj {
 
@@ -137,39 +134,17 @@ CrossQueryReuse::CrossQueryReuse(const ReuseOptions& options,
     : options_(options),
       planner_(planner),
       cache_(cache),
-      stripes_hint_(std::max(stripes_hint, 0)),
-      plan_cache_(options.plan_cache_capacity),
-      registry_(SubstrateRegistry::Options{options.substrate_budget_bytes}) {}
+      stripes_hint_(std::max(stripes_hint, 0)) {}
 
 CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
                                                    const Database& db,
                                                    ExecStats* stats) {
   Prepared out;
   if (!options_.enabled) return out;
-  const bool needs_plan =
-      options_.plan_cache || options_.share_substrates ||
-      options_.persistent_cache;
-  if (!needs_plan) return out;
-
-  if (options_.plan_cache) {
-    out.plan = plan_cache_.Resolve(q, db, planner_, cache_, stats);
-  } else {
-    // Plan caching is off but a later layer needs the resolved order /
-    // node count; resolve fresh without charging the plan-cache counters.
-    Timer timer;
-    out.plan = std::make_shared<const CachedPlan>(
-        CachedPlan::Resolve(q, db, std::nullopt, planner_, cache_));
-    if (stats != nullptr) {
-      stats->plan_resolve_ns +=
-          static_cast<std::uint64_t>(timer.Seconds() * 1e9);
-    }
-  }
-
-  if (options_.share_substrates) {
-    out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
-  }
+  out.plan = plan_cache_.Resolve(q, db, planner_, cache_, stats);
+  out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
   if (options_.persistent_cache) {
-    out.caches = AcquireShapeCaches(q, db, out.plan, stats);
+    out.caches = AcquireShapeCaches(q, db, out.plan);
   }
   return out;
 }
@@ -210,46 +185,9 @@ void CrossQueryReuse::InvalidateForDeltas(
   }
 }
 
-void CrossQueryReuse::SeedFromResidentShapes(CacheEntry& target,
-                                             ExecStats* stats) {
-  // For each matchable node of the cold shape, scan the resident shapes
-  // MRU-first and copy count entries from the first node whose subjoin
-  // signature matches. Equal signatures mean both nodes cache, per adhesion
-  // key, the count of the same subjoin over the same data — the payloads
-  // are interchangeable (plan_cache.h). Only count mode: eval payloads are
-  // factorized sets structured by their own plan. Admission policies may
-  // differ between plans, but admission only gates *inserts*; a seeded
-  // entry the target would not have admitted is still a correct value, and
-  // targeted invalidation evaluates entries against the target plan's own
-  // rules, so delta soundness is unaffected.
-  std::uint64_t seeded = 0;
-  for (NodeId n = 0; n < static_cast<NodeId>(target.signatures.size()); ++n) {
-    const std::string& sig = target.signatures[n];
-    if (sig.empty()) continue;
-    for (CacheEntry& source : cache_lru_) {
-      if (&source == &target) continue;
-      bool copied = false;
-      for (NodeId m = 0; m < static_cast<NodeId>(source.signatures.size());
-           ++m) {
-        if (source.signatures[m] != sig) continue;
-        source.caches->count.ForEach([&](NodeId node, const Value* values,
-                                         int dims, std::uint64_t value) {
-          if (node != m) return;
-          target.caches->count.Insert(n, PackedKey::Pack(values, dims), value);
-          ++seeded;
-        });
-        copied = true;
-        break;
-      }
-      if (copied) break;
-    }
-  }
-  if (stats != nullptr) stats->batch_prefix_seeds += seeded;
-}
-
 std::shared_ptr<ShapeCaches> CrossQueryReuse::AcquireShapeCaches(
     const Query& q, const Database& db,
-    const std::shared_ptr<const CachedPlan>& plan, ExecStats* stats) {
+    const std::shared_ptr<const CachedPlan>& plan) {
   const std::uint64_t generation = db.generation();
   const std::uint64_t minor = db.minor_version();
   const std::string key = CanonicalShapeKey(q);
@@ -299,18 +237,10 @@ std::shared_ptr<ShapeCaches> CrossQueryReuse::AcquireShapeCaches(
   }
   auto caches = std::make_shared<ShapeCaches>(
       static_cast<int>(plan->cacheable.size()), cache_,
-      std::max(stripes_hint_, 1), options_.hot_stripe_reads);
-  std::vector<std::string> signatures =
-      options_.cross_shape_seed ? SubtreeSignatures(*plan, q.atoms())
-                                : std::vector<std::string>();
-  cache_lru_.push_front(
-      CacheEntry{key, plan, q.atoms(), caches, std::move(signatures)});
+      std::max(stripes_hint_, 1));
+  cache_lru_.push_front(CacheEntry{key, plan, q.atoms(), caches});
   cache_index_[key] = cache_lru_.begin();
-  if (options_.cross_shape_seed) {
-    SeedFromResidentShapes(cache_lru_.front(), stats);
-  }
-  while (options_.max_shape_caches > 0 &&
-         cache_lru_.size() > options_.max_shape_caches) {
+  while (cache_lru_.size() > kMaxShapeCaches) {
     cache_index_.erase(cache_lru_.back().key);
     cache_lru_.pop_back();
   }

@@ -21,19 +21,12 @@
 
 namespace clftj {
 
-/// Knobs for the serving loop's cross-query reuse layer. Every layer can be
-/// switched off independently so the cold path stays testable; `enabled`
-/// is the master switch (off = every request plans, builds and caches from
+/// Switches for the serving loop's cross-query reuse layer. The plan cache
+/// and the shared trie substrates are always on under `enabled`, the
+/// master switch (off = every request plans, builds and caches from
 /// scratch, exactly the pre-reuse behavior).
 struct ReuseOptions {
   bool enabled = true;
-  /// LRU of resolved CachedPlans keyed on (shape, generation).
-  bool plan_cache = true;
-  std::size_t plan_cache_capacity = 64;
-  /// Long-lived shared tries (SubstrateRegistry).
-  bool share_substrates = true;
-  /// Byte budget for retained tries; 0 = unbounded.
-  std::uint64_t substrate_budget_bytes = 0;
   /// Persistent striped subtree-result caches, one per shape, that
   /// successive requests warm for each other. NodeId keyspaces are
   /// per-plan, which is why the caches are per-shape — sharing one table
@@ -41,32 +34,22 @@ struct ReuseOptions {
   /// them all; an ApplyDelta evicts only entries whose adhesion key may
   /// touch the changed values (docs/incremental.md).
   bool persistent_cache = true;
-  std::size_t max_shape_caches = 32;
-  /// Lock-free seqlock read path for hot stripes of the persistent caches
-  /// (StripedCacheManager hot_reads) — batch members polling the same hot
-  /// subtree stop serializing on the stripe mutex.
-  bool hot_stripe_reads = true;
-  /// Cross-shape count-cache seeding: when a shape goes cold, copy count
-  /// entries from resident shapes whose cacheable nodes have identical
-  /// subjoin signatures (SubtreeSignatures — e.g. a warm 4-cycle seeds a
-  /// cold 5-cycle's shared 2-path subtree). Count mode only: eval payloads
-  /// are plan-structured and never cross plans. Charged as
-  /// batch_prefix_seeds on the request that warmed the shape.
-  bool cross_shape_seed = true;
 };
 
 /// The persistent cache pair of one query shape: the count-mode and the
 /// eval-mode striped tables. Both are keyed by (NodeId, adhesion key)
 /// under the shape's plan; eval payloads are FactorizedSets frozen before
-/// insert (the PR 3 invariant that makes cross-request sharing safe).
+/// insert (the PR 3 invariant that makes cross-request sharing safe). Both
+/// use the lock-free hot-slot read path (StripedCacheManager hot_reads), so
+/// batch members polling the same hot subtree do not serialize on the
+/// stripe mutex.
 struct ShapeCaches {
   StripedCacheManager<std::uint64_t> count;
   StripedCacheManager<FactorizedSetPtr> eval;
 
-  ShapeCaches(int num_nodes, const CacheOptions& options, int stripes_hint,
-              bool hot_reads = false)
-      : count(num_nodes, options, stripes_hint, hot_reads),
-        eval(num_nodes, options, stripes_hint, hot_reads) {}
+  ShapeCaches(int num_nodes, const CacheOptions& options, int stripes_hint)
+      : count(num_nodes, options, stripes_hint, /*hot_reads=*/true),
+        eval(num_nodes, options, stripes_hint, /*hot_reads=*/true) {}
 };
 
 /// The cross-query reuse layer under QueryService (and clftj_cli --repeat):
@@ -84,8 +67,8 @@ class CrossQueryReuse {
   CrossQueryReuse(const ReuseOptions& options, PlannerOptions planner,
                   CacheOptions cache, int stripes_hint = 0);
 
-  /// Everything Prepare resolved for one request. Null fields mean "the
-  /// engine does that part itself" (the corresponding layer is off).
+  /// Everything Prepare resolved for one request. All fields are null when
+  /// reuse is off; `caches` is also null without persistent_cache.
   struct Prepared {
     std::shared_ptr<const CachedPlan> plan;
     std::shared_ptr<const TrieJoinSubstrate> substrate;
@@ -111,25 +94,20 @@ class CrossQueryReuse {
     std::shared_ptr<const CachedPlan> plan;
     std::vector<Atom> atoms;
     std::shared_ptr<ShapeCaches> caches;
-    /// Per-node subjoin signatures (SubtreeSignatures) for cross-shape
-    /// count-cache seeding; "" = never matchable.
-    std::vector<std::string> signatures;
   };
 
   std::shared_ptr<ShapeCaches> AcquireShapeCaches(
       const Query& q, const Database& db,
-      const std::shared_ptr<const CachedPlan>& plan, ExecStats* stats);
-
-  /// Copies count entries from resident shapes into the freshly created
-  /// `target` wherever subjoin signatures match (called under mu_, with
-  /// `target` already in cache_lru_). Charges batch_prefix_seeds to *stats
-  /// (may be null).
-  void SeedFromResidentShapes(CacheEntry& target, ExecStats* stats);
+      const std::shared_ptr<const CachedPlan>& plan);
 
   /// Targeted invalidation after ApplyDelta batches: evicts only cache
   /// entries whose adhesion key may intersect the changed values. Called
   /// under mu_.
   void InvalidateForDeltas(const std::vector<const DeltaLogEntry*>& deltas);
+
+  /// Shapes whose persistent caches stay resident; the least recently used
+  /// beyond that are dropped.
+  static constexpr std::size_t kMaxShapeCaches = 32;
 
   const ReuseOptions options_;
   const PlannerOptions planner_;

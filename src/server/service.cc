@@ -409,8 +409,8 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
             }
           }
           std::string engine_name = first.request.engine;
-          if (options_.batch.parallelize_shared && group.size() >= 2 &&
-              engine_name == "CLFTJ" && first.request.mode == "count") {
+          if (group.size() >= 2 && engine_name == "CLFTJ" &&
+              first.request.mode == "count") {
             // Fan the shared run across shards: N requests' worth of work
             // funneled into one run earns the parallel engine. Counts are
             // bit-identical at any thread count (the PR 2 guarantee); eval

@@ -67,13 +67,6 @@ struct BatchOptions {
   /// member's extra latency: a batch executes at most window_ms after its
   /// head was dispatched.
   std::uint64_t window_ms = 0;
-  /// Escalate a shared count-mode run with >= 2 identical members from
-  /// CLFTJ to CLFTJ-P, fanning the batch across shards of one shared run
-  /// context (counts are bit-identical at every thread count — the PR 2
-  /// guarantee). Eval runs are never escalated: the sharded executor's
-  /// tuple stream is only interleaving-identical, and a shared eval run
-  /// must hand every member the same stream a FIFO run would have.
-  bool parallelize_shared = true;
 };
 
 /// Serving-loop configuration.
@@ -98,8 +91,8 @@ struct ServiceOptions {
   /// Retry-after hint attached to kShed responses.
   std::uint64_t retry_after_ms = 50;
   /// Cross-query reuse (plan cache, shared substrates, persistent striped
-  /// caches) for CLFTJ-family requests. Applies per service instance; all
-  /// layers default on and results are bit-identical either way.
+  /// caches) for CLFTJ-family requests. Applies per service instance; on
+  /// by default and results are bit-identical either way.
   ReuseOptions reuse;
   /// Batch admission over the reuse layer (requires reuse.enabled — with
   /// reuse off there is no shared work to batch and dispatch stays FIFO).

@@ -2,93 +2,83 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 namespace clftj {
 
+namespace {
+
+// The one list of ExecStats counters. Wire keys are short on purpose: the
+// stats token rides on every OK response. kMax fields are peaks,
+// max-merged; every other counter sums.
+enum class MergeRule { kSum, kMax };
+
+struct Field {
+  std::uint64_t ExecStats::*member;
+  const char* wire_key;
+  const char* display_name;
+  MergeRule merge;
+};
+
+constexpr Field kFields[] = {
+    {&ExecStats::memory_accesses, "ma", "mem_accesses", MergeRule::kSum},
+    {&ExecStats::intermediate_tuples, "it", "intermediates", MergeRule::kSum},
+    {&ExecStats::output_tuples, "ot", "outputs", MergeRule::kSum},
+    {&ExecStats::cache_hits, "ch", "cache_hits", MergeRule::kSum},
+    {&ExecStats::cache_misses, "cm", "cache_misses", MergeRule::kSum},
+    {&ExecStats::cache_inserts, "ci", "cache_inserts", MergeRule::kSum},
+    {&ExecStats::cache_rejects, "cr", "cache_rejects", MergeRule::kSum},
+    {&ExecStats::cache_evictions, "ce", "cache_evictions", MergeRule::kSum},
+    {&ExecStats::cache_entries_peak, "cep", "cache_peak", MergeRule::kMax},
+    {&ExecStats::cache_bytes_peak, "cbp", "cache_bytes_peak", MergeRule::kMax},
+    {&ExecStats::plan_cache_hits, "pch", "plan_cache_hits", MergeRule::kSum},
+    {&ExecStats::plan_cache_misses, "pcm", "plan_cache_misses",
+     MergeRule::kSum},
+    {&ExecStats::substrate_builds, "sb", "substrate_builds", MergeRule::kSum},
+    {&ExecStats::substrate_reuses, "sr", "substrate_reuses", MergeRule::kSum},
+    {&ExecStats::plan_resolve_ns, "prn", "plan_resolve_ns", MergeRule::kSum},
+    {&ExecStats::substrate_build_ns, "sbn", "substrate_build_ns",
+     MergeRule::kSum},
+    {&ExecStats::batch_size, "bsz", "batch_size", MergeRule::kSum},
+    {&ExecStats::batch_shared_execs, "bse", "batch_shared_execs",
+     MergeRule::kSum},
+};
+
+// Every member is a std::uint64_t, so a member added to ExecStats without a
+// row here changes the size and stops the build.
+static_assert(sizeof(ExecStats) ==
+                  std::size(kFields) * sizeof(std::uint64_t),
+              "every ExecStats member needs a row in kFields");
+
+}  // namespace
+
 void ExecStats::Merge(const ExecStats& other) {
-  memory_accesses += other.memory_accesses;
-  intermediate_tuples += other.intermediate_tuples;
-  output_tuples += other.output_tuples;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_inserts += other.cache_inserts;
-  cache_rejects += other.cache_rejects;
-  cache_evictions += other.cache_evictions;
-  cache_entries_peak = std::max(cache_entries_peak, other.cache_entries_peak);
-  cache_bytes_peak = std::max(cache_bytes_peak, other.cache_bytes_peak);
-  plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
-  substrate_builds += other.substrate_builds;
-  substrate_reuses += other.substrate_reuses;
-  plan_resolve_ns += other.plan_resolve_ns;
-  substrate_build_ns += other.substrate_build_ns;
-  batch_size += other.batch_size;
-  batch_shared_execs += other.batch_shared_execs;
-  batch_prefix_seeds += other.batch_prefix_seeds;
+  for (const Field& f : kFields) {
+    std::uint64_t& mine = this->*f.member;
+    const std::uint64_t theirs = other.*f.member;
+    mine = f.merge == MergeRule::kMax ? std::max(mine, theirs) : mine + theirs;
+  }
 }
 
 std::string ExecStats::ToString() const {
   std::ostringstream os;
-  os << "mem_accesses=" << memory_accesses
-     << " intermediates=" << intermediate_tuples
-     << " outputs=" << output_tuples << " cache_hits=" << cache_hits
-     << " cache_misses=" << cache_misses << " cache_inserts=" << cache_inserts
-     << " cache_rejects=" << cache_rejects
-     << " cache_evictions=" << cache_evictions
-     << " cache_peak=" << cache_entries_peak
-     << " cache_bytes_peak=" << cache_bytes_peak
-     << " plan_cache_hits=" << plan_cache_hits
-     << " plan_cache_misses=" << plan_cache_misses
-     << " substrate_builds=" << substrate_builds
-     << " substrate_reuses=" << substrate_reuses
-     << " plan_resolve_ns=" << plan_resolve_ns
-     << " substrate_build_ns=" << substrate_build_ns
-     << " batch_size=" << batch_size
-     << " batch_shared_execs=" << batch_shared_execs
-     << " batch_prefix_seeds=" << batch_prefix_seeds;
+  bool first = true;
+  for (const Field& f : kFields) {
+    if (!first) os << ' ';
+    first = false;
+    os << f.display_name << '=' << this->*f.member;
+  }
   return os.str();
 }
-
-namespace {
-
-// Wire keys, short on purpose: the stats token rides on every OK response.
-struct WireField {
-  const char* key;
-  std::uint64_t ExecStats::*member;
-};
-
-constexpr WireField kWireFields[] = {
-    {"ma", &ExecStats::memory_accesses},
-    {"it", &ExecStats::intermediate_tuples},
-    {"ot", &ExecStats::output_tuples},
-    {"ch", &ExecStats::cache_hits},
-    {"cm", &ExecStats::cache_misses},
-    {"ci", &ExecStats::cache_inserts},
-    {"cr", &ExecStats::cache_rejects},
-    {"ce", &ExecStats::cache_evictions},
-    {"cep", &ExecStats::cache_entries_peak},
-    {"cbp", &ExecStats::cache_bytes_peak},
-    {"pch", &ExecStats::plan_cache_hits},
-    {"pcm", &ExecStats::plan_cache_misses},
-    {"sb", &ExecStats::substrate_builds},
-    {"sr", &ExecStats::substrate_reuses},
-    {"prn", &ExecStats::plan_resolve_ns},
-    {"sbn", &ExecStats::substrate_build_ns},
-    {"bsz", &ExecStats::batch_size},
-    {"bse", &ExecStats::batch_shared_execs},
-    {"bps", &ExecStats::batch_prefix_seeds},
-};
-
-}  // namespace
 
 std::string ExecStats::ToWire() const {
   std::ostringstream os;
   bool first = true;
-  for (const WireField& f : kWireFields) {
+  for (const Field& f : kFields) {
     if (!first) os << ',';
     first = false;
-    os << f.key << ':' << this->*f.member;
+    os << f.wire_key << ':' << this->*f.member;
   }
   return os.str();
 }
@@ -109,8 +99,8 @@ bool ExecStats::FromWire(const std::string& text, ExecStats* out) {
     char* tail = nullptr;
     const std::uint64_t number = std::strtoull(value.c_str(), &tail, 10);
     if (tail == nullptr || *tail != '\0') return false;
-    for (const WireField& f : kWireFields) {
-      if (key == f.key) {
+    for (const Field& f : kFields) {
+      if (key == f.wire_key) {
         parsed.*f.member = number;
         break;
       }

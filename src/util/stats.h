@@ -16,6 +16,10 @@ namespace clftj {
 /// The counters are a deterministic proxy for DRAM traffic: they count data
 /// touches rather than cache-miss events, which is what makes the paper's
 /// cross-algorithm comparison reproducible on any host.
+///
+/// Every member is a std::uint64_t counter listed once in the field table
+/// in stats.cc, which drives Merge, ToString, ToWire and FromWire alike; a
+/// static_assert there fails the build when a member is missing from it.
 struct ExecStats {
   std::uint64_t memory_accesses = 0;
   std::uint64_t intermediate_tuples = 0;
@@ -55,9 +59,6 @@ struct ExecStats {
   /// identical batch members (its engine counters are the shared run's,
   /// reported verbatim to every member).
   std::uint64_t batch_shared_execs = 0;
-  /// Count-cache entries seeded into this request's shape from another
-  /// resident shape with matching subjoin signatures (cross-shape reuse).
-  std::uint64_t batch_prefix_seeds = 0;
 
   /// Resets all counters to zero.
   void Reset() { *this = ExecStats(); }

@@ -191,7 +191,6 @@ TEST(ExecStatsWire, RoundTripsEveryCounter) {
   stats.substrate_build_ns = 16;
   stats.batch_size = 17;
   stats.batch_shared_execs = 18;
-  stats.batch_prefix_seeds = 19;
 
   ExecStats parsed;
   ASSERT_TRUE(ExecStats::FromWire(stats.ToWire(), &parsed));
@@ -213,13 +212,16 @@ TEST(ExecStatsWire, RoundTripsEveryCounter) {
   EXPECT_EQ(parsed.substrate_build_ns, 16u);
   EXPECT_EQ(parsed.batch_size, 17u);
   EXPECT_EQ(parsed.batch_shared_execs, 18u);
-  EXPECT_EQ(parsed.batch_prefix_seeds, 19u);
 }
 
 TEST(ExecStatsWire, UnknownKeysIgnoredMalformedRejected) {
   ExecStats parsed;
   EXPECT_TRUE(ExecStats::FromWire("zz:5,ma:3", &parsed));
   EXPECT_EQ(parsed.memory_accesses, 3u);
+  // An older server still sends the removed cross-shape seeding counter.
+  EXPECT_TRUE(ExecStats::FromWire("ma:3,bps:19,bse:1", &parsed));
+  EXPECT_EQ(parsed.memory_accesses, 3u);
+  EXPECT_EQ(parsed.batch_shared_execs, 1u);
 
   ExecStats untouched;
   untouched.memory_accesses = 42;

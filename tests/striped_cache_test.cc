@@ -386,6 +386,31 @@ TEST(StripedCacheManager, HotReadsServeSameValuesAsLockedPath) {
   EXPECT_GT(cache.HotHits(), 0u);
 }
 
+TEST(StripedCacheManager, HotHitsCountAsCacheHits) {
+  // A hit served by the seqlock path is still a cache hit: the aggregate
+  // must report every lookup, each charged at least the one slot it read.
+  StripedCacheManager<std::uint64_t> cache(1, Striped(), /*workers=*/4,
+                                           /*hot_reads=*/true);
+  constexpr Value kKeys = 40;
+  constexpr int kRounds = 5;
+  for (Value k = 0; k < kKeys; ++k) {
+    cache.Insert(0, PK({k, 2 * k}), static_cast<std::uint64_t>(k));
+  }
+  const ExecStats before = cache.AggregatedStats();
+  std::uint64_t out = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (Value k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(cache.Lookup(0, PK({k, 2 * k}), &out));
+    }
+  }
+  ASSERT_GT(cache.HotHits(), 0u) << "seqlock fast path never engaged";
+  const ExecStats after = cache.AggregatedStats();
+  EXPECT_EQ(after.cache_hits, static_cast<std::uint64_t>(kKeys) * kRounds);
+  EXPECT_EQ(after.cache_misses, 0u);
+  EXPECT_GE(after.memory_accesses - before.memory_accesses,
+            static_cast<std::uint64_t>(kKeys) * kRounds);
+}
+
 TEST(StripedCacheManager, EvictIfClearsHotSlots) {
   // Targeted invalidation must reach the hot slots: a seqlock read serving
   // an entry EvictIf removed would resurrect stale pre-delta state.
