@@ -31,6 +31,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -51,7 +52,12 @@ struct SeekProfile {
   std::vector<Value> b;
   int repeats;  // intersection passes per timed trial
   int trials;   // interleaved scalar/avx2 trials; min per arm is recorded
+  int spacing_ms = 0;  // idle gap between bursts of trials (0 = none)
 };
+
+// Trials per burst when a profile spaces its trials: the first pass after
+// an idle gap runs cold, so each burst re-warms before its minima count.
+constexpr int kTrialsPerBurst = 5;
 
 // Leapfrog-style sorted intersection driven by a seek kernel; the probe
 // counter accumulates exactly what ExecStats would be charged. The probe
@@ -133,8 +139,15 @@ std::vector<SeekProfile>& SeekProfiles() {
           sparse_b.push_back(v);
         }
         sparse_b.push_back(static_cast<Value>(sparse_n) + 5);  // past end
+        // Quick mode spreads its trials over ~5 s in spaced bursts: the
+        // probe side lives in the shared last-level cache, and on a shared
+        // host a neighbour can evict it for a few seconds at a time,
+        // pushing both arms to DRAM latency where the AVX2 win shrinks to
+        // ~1.1x. A few back-to-back trials all land inside one such
+        // spell; the per-arm minima over a longer window do not.
         out.push_back({"sparse", std::move(sparse_a), std::move(sparse_b),
-                       Quick() ? 150 : 300, Quick() ? 5 : 7});
+                       Quick() ? 150 : 300, Quick() ? 150 : 7,
+                       Quick() ? 150 : 0});
         // adversarial-stride: jump lengths cycling across five orders of
         // magnitude, hitting the tiny-range, clamped-edge and
         // all-below-bound paths in one stream.
@@ -217,24 +230,32 @@ void SeekBody(benchmark::State& state, const SeekProfile& profile,
     double scalar_best = 0.0;
     double avx2_best = 0.0;
     Timer total_timer;
+    const auto time_arm = [&](simd::SeekLowerBoundFn fn, const char* arm,
+                              double* best) {
+      Timer timer;
+      const IntersectResult got = run_schedule(fn);
+      const double seconds = timer.Seconds();
+      if (*best == 0.0 || seconds < *best) *best = seconds;
+      check(got, arm);
+    };
     for (int trial = 0; trial < profile.trials; ++trial) {
-      {
-        Timer timer;
-        const IntersectResult got =
-            run_schedule(simd::ScalarKernels().seek_lower_bound);
-        const double seconds = timer.Seconds();
-        if (scalar_best == 0.0 || seconds < scalar_best) {
-          scalar_best = seconds;
-        }
-        check(got, "scalar");
+      if (profile.spacing_ms > 0 && trial > 0 &&
+          trial % kTrialsPerBurst == 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(profile.spacing_ms));
       }
-      if (avx2) {
-        Timer timer;
-        const IntersectResult got =
-            run_schedule(simd::Avx2KernelsOrNull()->seek_lower_bound);
-        const double seconds = timer.Seconds();
-        if (avx2_best == 0.0 || seconds < avx2_best) avx2_best = seconds;
-        check(got, "avx2");
+      // Alternate which arm runs first, so neither always takes the
+      // colder slot.
+      const bool avx2_first = avx2 && trial % 2 == 1;
+      if (avx2_first) {
+        time_arm(simd::Avx2KernelsOrNull()->seek_lower_bound, "avx2",
+                 &avx2_best);
+      }
+      time_arm(simd::ScalarKernels().seek_lower_bound, "scalar",
+               &scalar_best);
+      if (avx2 && !avx2_first) {
+        time_arm(simd::Avx2KernelsOrNull()->seek_lower_bound, "avx2",
+                 &avx2_best);
       }
     }
     const double total_seconds = total_timer.Seconds();
@@ -242,9 +263,12 @@ void SeekBody(benchmark::State& state, const SeekProfile& profile,
       SparseScalarSeconds() = scalar_best;
       SparseAvx2Seconds() = avx2_best;
     }
-    const std::string config = "intersect " + profile.name + " repeats=" +
-                               std::to_string(profile.repeats) +
-                               " trials=" + std::to_string(profile.trials);
+    std::string config = "intersect " + profile.name + " repeats=" +
+                         std::to_string(profile.repeats) +
+                         " trials=" + std::to_string(profile.trials);
+    if (profile.spacing_ms > 0) {
+      config += " spacing=" + std::to_string(profile.spacing_ms) + "ms";
+    }
     PublishKernel(state, name + "/scalar", config, scalar_best, expect.hits,
                   expect.probes);
     if (avx2) {

@@ -95,21 +95,32 @@ inline std::uint64_t CachePayloadBytes(const V&) {
 /// std::uint64_t for counting, a factorized-set pointer for evaluation.
 ///
 /// Layout: one open-addressing flat table (linear probing, power-of-two
-/// capacity, load factor <= 1/2) whose slots embed the key, the payload and
-/// an intrusive doubly-linked LRU via 32-bit slot indices. Deletion is
-/// tombstone-free (backward-shift), so probe sequences never degrade under
-/// eviction churn. Per Lookup the hot path performs zero heap allocations;
-/// an Insert allocates at most when the table grows (doubling rehash).
-/// Keys wider than PackedKey::kInlineDims are interned into a value arena
-/// (`spill path`); with the default max_dimension = 2 the arena is never
-/// touched.
+/// capacity, load factor <= 1/2) whose slots hold only the key and the
+/// payload — 32 bytes for a count, 40 for a factorized-set pointer. The
+/// hash is not stored: it is recomputed from the key whenever an entry
+/// moves (growth rehash, backward-shift deletion), and probes compare
+/// node, width and key directly. Bounded caches (capacity or
+/// capacity_bytes set) add a parallel recency array holding each slot's
+/// payload charge and an intrusive doubly-linked LRU via 32-bit slot
+/// indices; unbounded caches never read recency, so they never allocate
+/// it. Deletion is tombstone-free (backward-shift), so probe sequences
+/// never degrade under eviction churn. Per Lookup the hot path performs
+/// zero heap allocations; an Insert allocates at most when the table grows
+/// (doubling rehash). Keys wider than PackedKey::kInlineDims are interned
+/// into a value arena (`spill path`); with the default max_dimension = 2
+/// the arena is never touched.
 template <typename V>
 class CacheManager {
  public:
+  /// A bounded cache presizes its table for at most this many entries; a
+  /// larger entry budget grows the table by rehashing like an unbounded one.
+  static constexpr std::uint64_t kMaxPresizeEntries = std::uint64_t{1} << 20;
+
   CacheManager(int num_nodes, const CacheOptions& options, ExecStats* stats)
       : options_(options),
         bounded_(options.capacity > 0),
         byte_bounded_(options.capacity_bytes > 0),
+        lru_(bounded_ || byte_bounded_),
         stats_(stats) {
     (void)num_nodes;  // node ids are mixed into the key hash; no per-node maps
   }
@@ -118,14 +129,13 @@ class CacheManager {
   /// or miss; under a bounded capacity also refreshes LRU recency. The
   /// returned pointer is invalidated by the next Insert.
   const V* Lookup(NodeId node, PackedKey key) {
-    const std::uint64_t hash = HashKey(node, key);
-    const std::uint32_t i = FindSlot(node, key, hash);
+    const std::uint32_t i = FindSlot(node, key, HashKey(node, key));
     if (i == kNil) {
       ++stats_->cache_misses;
       return nullptr;
     }
     ++stats_->cache_hits;
-    if (bounded_ || byte_bounded_) MoveToFront(i);
+    if (lru_) MoveToFront(i);
     return &slots_[i].value;
   }
 
@@ -153,17 +163,17 @@ class CacheManager {
     if (existing != kNil) {
       if (byte_bounded_ &&
           options_.eviction == CacheOptions::Eviction::kRejectNew &&
-          bytes_ - slots_[existing].bytes + need > options_.capacity_bytes) {
+          bytes_ - recency_[existing].bytes + need > options_.capacity_bytes) {
         // A grown replacement that no longer fits: keep the old payload.
         ++stats_->cache_rejects;
         return false;
       }
       if (byte_bounded_) {
-        bytes_ += need - slots_[existing].bytes;
-        slots_[existing].bytes = need;
+        bytes_ += need - recency_[existing].bytes;
+        recency_[existing].bytes = need;
       }
       slots_[existing].value = std::move(value);
-      if (bounded_ || byte_bounded_) MoveToFront(existing);
+      if (lru_) MoveToFront(existing);
       // A grown replacement can overshoot the byte budget: shed LRU entries
       // until it fits again. The refreshed entry is MRU by now, so it is
       // never the victim — and `existing` is not re-read below, which
@@ -197,31 +207,31 @@ class CacheManager {
   /// docs/incremental.md): removes every entry for which pred(node, values,
   /// dims) returns true, where `values` are the entry's adhesion key values.
   /// Two-phase on purpose — backward-shift deletion physically moves slots,
-  /// so the predicate pass collects doomed keys into owned buffers first and
-  /// each key is then re-located and erased. Runs between queries, not on
-  /// the hot path; not counted as capacity evictions. Returns the number of
-  /// entries removed.
+  /// so the predicate pass collects doomed keys first and each key is then
+  /// re-located and erased. A doomed key costs no allocation of its own:
+  /// inline keys are copied by value, and wide keys borrow their arena
+  /// segment, which erasing never rewrites (only an insert compacts the
+  /// arena). Runs between queries, not on the hot path; not counted as
+  /// capacity evictions. Returns the number of entries removed.
   template <typename Pred>
   std::size_t EvictIf(const Pred& pred) {
-    std::vector<std::pair<NodeId, std::vector<Value>>> doomed;
+    std::vector<std::pair<NodeId, PackedKey>> doomed;
     for (const Slot& s : slots_) {
       if (!s.occupied()) continue;
-      std::vector<Value> vals(s.dims);
-      if (s.wide()) {
-        for (std::uint32_t d = 0; d < s.dims; ++d) {
-          vals[d] = arena_[s.lo + d];
-        }
+      const PackedKey key = KeyOf(s, arena_.data());
+      Value inline_values[PackedKey::kInlineDims] = {};
+      const Value* values = inline_values;
+      if (key.wide()) {
+        values = key.wide_data();
       } else {
-        if (s.dims >= 1) vals[0] = static_cast<Value>(s.lo);
-        if (s.dims == 2) vals[1] = static_cast<Value>(s.hi);
+        if (s.dims >= 1) inline_values[0] = static_cast<Value>(s.lo);
+        if (s.dims == 2) inline_values[1] = static_cast<Value>(s.hi);
       }
-      if (pred(s.node, vals.data(), static_cast<int>(s.dims))) {
-        doomed.emplace_back(s.node, std::move(vals));
+      if (pred(s.node, values, static_cast<int>(s.dims))) {
+        doomed.emplace_back(s.node, key);
       }
     }
-    for (const auto& [node, vals] : doomed) {
-      const PackedKey key =
-          PackedKey::Pack(vals.data(), static_cast<int>(vals.size()));
+    for (const auto& [node, key] : doomed) {
       const std::uint32_t i = FindSlot(node, key, HashKey(node, key));
       if (i != kNil) EraseSlot(i);
     }
@@ -235,12 +245,22 @@ class CacheManager {
   /// byte budget is active).
   std::uint64_t payload_bytes() const { return bytes_; }
 
+  /// Bytes the table itself holds resident: the slot array, the recency
+  /// array (bounded caches only) and the wide-key arena. Payload heap
+  /// (factorized sets) is not included; see payload_bytes.
+  std::uint64_t resident_bytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           recency_.capacity() * sizeof(Recency) +
+           arena_.capacity() * sizeof(Value);
+  }
+
   /// Test observability: payloads in MRU -> LRU chain order (O(size)).
   /// Lets tests pin that recency survives rehash/backward-shift moves.
+  /// Empty for an unbounded cache, which keeps no recency.
   std::vector<V> LruOrderForTest() const {
     std::vector<V> out;
     out.reserve(size_);
-    for (std::uint32_t i = lru_head_; i != kNil; i = slots_[i].lru_next) {
+    for (std::uint32_t i = lru_head_; i != kNil; i = recency_[i].next) {
       out.push_back(slots_[i].value);
     }
     return out;
@@ -252,12 +272,8 @@ class CacheManager {
   static constexpr std::size_t kMinSlots = 16;
 
   struct Slot {
-    std::uint64_t hash = 0;
     std::uint64_t lo = 0;  // inline values, or (wide) offset into arena_
     std::uint64_t hi = 0;
-    std::uint64_t bytes = 0;  // payload charge (byte-budget mode only)
-    std::uint32_t lru_prev = kNil;
-    std::uint32_t lru_next = kNil;
     NodeId node = kNone;
     std::uint32_t dims = kEmptyDims;  // kEmptyDims marks a free slot
     V value{};
@@ -268,15 +284,40 @@ class CacheManager {
              dims > static_cast<std::uint32_t>(PackedKey::kInlineDims);
     }
   };
+  static_assert(!std::is_same<V, std::uint64_t>::value || sizeof(Slot) == 32,
+                "a count slot is exactly key + payload");
+
+  /// Recency and payload charge of the slot at the same index; only
+  /// bounded caches allocate this array.
+  struct Recency {
+    std::uint64_t bytes = 0;  // payload charge (byte-budget mode only)
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
 
   std::uint64_t HashKey(NodeId node, PackedKey key) const {
     return key.Hash(HashCombine(0x2545f4914f6cdd1dull,
                                 static_cast<std::uint64_t>(node)));
   }
 
-  bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
-                   std::uint64_t hash) const {
-    if (s.hash != hash || s.node != node || s.dims != key.dims) return false;
+  /// The stored key of an occupied slot; wide keys borrow from `arena`.
+  static PackedKey KeyOf(const Slot& s, const Value* arena) {
+    if (s.wide()) {
+      return PackedKey::Pack(arena + s.lo, static_cast<int>(s.dims));
+    }
+    PackedKey key;
+    key.lo = s.lo;
+    key.hi = s.hi;
+    key.dims = s.dims;
+    return key;
+  }
+
+  std::uint64_t HashOf(const Slot& s) const {
+    return HashKey(s.node, KeyOf(s, arena_.data()));
+  }
+
+  bool SlotMatches(const Slot& s, NodeId node, PackedKey key) const {
+    if (s.node != node || s.dims != key.dims) return false;
     if (!key.wide()) return s.lo == key.lo && s.hi == key.hi;
     const Value* stored = arena_.data() + s.lo;
     const Value* probe = key.wide_data();
@@ -299,33 +340,33 @@ class CacheManager {
       stats_->memory_accesses += 1;
       const Slot& s = slots_[i];
       if (!s.occupied()) return kNil;
-      if (SlotMatches(s, node, key, hash)) return i;
+      if (SlotMatches(s, node, key)) return i;
       i = (i + 1) & mask_;
     }
   }
 
-  // --- intrusive LRU (front = most recently used) ---
+  // --- intrusive LRU over recency_ (front = most recently used) ---
 
   void Unlink(std::uint32_t i) {
-    Slot& s = slots_[i];
-    if (s.lru_prev != kNil) {
-      slots_[s.lru_prev].lru_next = s.lru_next;
+    Recency& r = recency_[i];
+    if (r.prev != kNil) {
+      recency_[r.prev].next = r.next;
     } else {
-      lru_head_ = s.lru_next;
+      lru_head_ = r.next;
     }
-    if (s.lru_next != kNil) {
-      slots_[s.lru_next].lru_prev = s.lru_prev;
+    if (r.next != kNil) {
+      recency_[r.next].prev = r.prev;
     } else {
-      lru_tail_ = s.lru_prev;
+      lru_tail_ = r.prev;
     }
-    s.lru_prev = s.lru_next = kNil;
+    r.prev = r.next = kNil;
   }
 
   void LinkFront(std::uint32_t i) {
-    Slot& s = slots_[i];
-    s.lru_prev = kNil;
-    s.lru_next = lru_head_;
-    if (lru_head_ != kNil) slots_[lru_head_].lru_prev = i;
+    Recency& r = recency_[i];
+    r.prev = kNil;
+    r.next = lru_head_;
+    if (lru_head_ != kNil) recency_[lru_head_].prev = i;
     lru_head_ = i;
     if (lru_tail_ == kNil) lru_tail_ = i;
   }
@@ -336,17 +377,27 @@ class CacheManager {
     LinkFront(i);
   }
 
-  /// An entry physically moved from slot `from` to slot `to` (backward
-  /// shift): repoint its LRU neighbours (and head/tail) at the new index.
+  /// Appends slot i at the LRU end (rehash re-links MRU-first).
+  void LinkBack(std::uint32_t i) {
+    Recency& r = recency_[i];
+    r.prev = lru_tail_;
+    r.next = kNil;
+    if (lru_tail_ != kNil) recency_[lru_tail_].next = i;
+    lru_tail_ = i;
+    if (lru_head_ == kNil) lru_head_ = i;
+  }
+
+  /// An entry physically moved to slot `to` (backward shift): repoint its
+  /// LRU neighbours (and head/tail) at the new index.
   void PatchLinksAfterMove(std::uint32_t to) {
-    Slot& s = slots_[to];
-    if (s.lru_prev != kNil) {
-      slots_[s.lru_prev].lru_next = to;
+    const Recency& r = recency_[to];
+    if (r.prev != kNil) {
+      recency_[r.prev].next = to;
     } else {
       lru_head_ = to;
     }
-    if (s.lru_next != kNil) {
-      slots_[s.lru_next].lru_prev = to;
+    if (r.next != kNil) {
+      recency_[r.next].prev = to;
     } else {
       lru_tail_ = to;
     }
@@ -357,26 +408,31 @@ class CacheManager {
   void EraseSlot(std::uint32_t i) {
     Slot& victim = slots_[i];
     if (victim.wide()) arena_live_ -= victim.dims;
-    Unlink(i);
+    if (lru_) {
+      Unlink(i);
+      bytes_ -= recency_[i].bytes;
+      recency_[i].bytes = 0;
+    }
     victim.value = V{};
     victim.dims = kEmptyDims;
-    bytes_ -= victim.bytes;
-    victim.bytes = 0;
     --size_;
     std::uint32_t hole = i;
     std::uint32_t j = (i + 1) & mask_;
     while (slots_[j].occupied()) {
       const std::uint32_t ideal =
-          static_cast<std::uint32_t>(slots_[j].hash & mask_);
+          static_cast<std::uint32_t>(HashOf(slots_[j]) & mask_);
       // j's entry may shift back into the hole only if its ideal slot is
       // cyclically at or before the hole (i.e. the hole lies on its probe
       // path).
       if (((j - ideal) & mask_) >= ((j - hole) & mask_)) {
         slots_[hole] = std::move(slots_[j]);
-        PatchLinksAfterMove(hole);
         slots_[j].value = V{};
         slots_[j].dims = kEmptyDims;
-        slots_[j].lru_prev = slots_[j].lru_next = kNil;
+        if (lru_) {
+          recency_[hole] = recency_[j];
+          PatchLinksAfterMove(hole);
+          recency_[j] = Recency{};
+        }
         hole = j;
       }
       j = (j + 1) & mask_;
@@ -393,10 +449,11 @@ class CacheManager {
         // Size bounded caches for their full budget up front (capped so a
         // huge nominal budget does not preallocate the world).
         const std::uint64_t budget =
-            std::min<std::uint64_t>(options_.capacity, 1u << 20);
+            std::min<std::uint64_t>(options_.capacity, kMaxPresizeEntries);
         while (want < budget * 2) want <<= 1;
       }
       slots_.assign(want, Slot{});
+      if (lru_) recency_.assign(want, Recency{});
       mask_ = want - 1;
       return;
     }
@@ -416,18 +473,17 @@ class CacheManager {
 
   void InsertFresh(NodeId node, PackedKey key, std::uint64_t hash, V value,
                    std::uint64_t payload_bytes) {
+    // Spill path: compact first if eviction churn left the arena mostly
+    // garbage (bounded caches never rehash in steady state, so this is
+    // their reclamation point). It runs before the new slot is claimed,
+    // because compaction rewrites every occupied wide slot.
+    if (key.wide() && arena_.size() > 2 * arena_live_ + 64) CompactArena();
     const std::uint32_t i = FindEmpty(hash);
     Slot& s = slots_[i];
-    s.hash = hash;
     s.node = node;
     s.dims = key.dims;
-    s.bytes = payload_bytes;
-    bytes_ += payload_bytes;
     if (key.wide()) {
-      // Spill path: intern the borrowed values. Compact first if eviction
-      // churn left the arena mostly garbage (bounded caches never rehash in
-      // steady state, so this is their reclamation point).
-      if (arena_.size() > 2 * arena_live_ + 64) CompactArena();
+      // Intern the borrowed values.
       s.lo = arena_.size();
       s.hi = 0;
       arena_.insert(arena_.end(), key.wide_data(), key.wide_data() + key.dims);
@@ -438,32 +494,34 @@ class CacheManager {
       s.hi = key.hi;
     }
     s.value = std::move(value);
-    LinkFront(i);
+    if (lru_) {
+      recency_[i].bytes = payload_bytes;
+      bytes_ += payload_bytes;
+      LinkFront(i);
+    }
     ++size_;
     stats_->memory_accesses += 1;
   }
 
-  /// Doubling rehash. Walks the LRU chain MRU->LRU and re-links in order,
-  /// so recency survives growth; wide-key arena segments are compacted into
-  /// a fresh arena as a side effect.
+  /// Doubling rehash; wide-key arena segments are compacted into a fresh
+  /// arena as a side effect. An unbounded table re-inserts in slot order.
+  /// A bounded one walks the LRU chain MRU->LRU and re-links in order, so
+  /// recency survives growth.
   void Rehash(std::size_t new_slot_count) {
     std::vector<Slot> old = std::move(slots_);
+    std::vector<Recency> old_recency = std::move(recency_);
     slots_.assign(new_slot_count, Slot{});
+    if (lru_) recency_.assign(new_slot_count, Recency{});
     mask_ = new_slot_count - 1;
     std::vector<Value> old_arena = std::move(arena_);
     arena_.clear();
     arena_.reserve(arena_live_);
-    const std::uint32_t old_head = lru_head_;
-    lru_head_ = lru_tail_ = kNil;
-    for (std::uint32_t i = old_head; i != kNil;) {
-      Slot& s = old[i];
-      const std::uint32_t next = s.lru_next;
-      const std::uint32_t j = FindEmpty(s.hash);
+    const auto move_entry = [&](Slot& s) {
+      const std::uint32_t j =
+          FindEmpty(HashKey(s.node, KeyOf(s, old_arena.data())));
       Slot& t = slots_[j];
-      t.hash = s.hash;
       t.node = s.node;
       t.dims = s.dims;
-      t.bytes = s.bytes;
       if (s.wide()) {
         t.lo = arena_.size();
         t.hi = 0;
@@ -474,13 +532,20 @@ class CacheManager {
         t.hi = s.hi;
       }
       t.value = std::move(s.value);
-      // Append at tail: the walk is MRU-first, so order is preserved.
-      t.lru_prev = lru_tail_;
-      t.lru_next = kNil;
-      if (lru_tail_ != kNil) slots_[lru_tail_].lru_next = j;
-      lru_tail_ = j;
-      if (lru_head_ == kNil) lru_head_ = j;
-      i = next;
+      return j;
+    };
+    if (!lru_) {
+      for (Slot& s : old) {
+        if (s.occupied()) move_entry(s);
+      }
+      return;
+    }
+    const std::uint32_t old_head = lru_head_;
+    lru_head_ = lru_tail_ = kNil;
+    for (std::uint32_t i = old_head; i != kNil; i = old_recency[i].next) {
+      const std::uint32_t j = move_entry(old[i]);
+      recency_[j].bytes = old_recency[i].bytes;
+      LinkBack(j);  // the walk is MRU-first, so order is preserved
     }
   }
 
@@ -488,8 +553,7 @@ class CacheManager {
   void CompactArena() {
     std::vector<Value> fresh;
     fresh.reserve(arena_live_);
-    for (std::uint32_t i = lru_head_; i != kNil; i = slots_[i].lru_next) {
-      Slot& s = slots_[i];
+    for (Slot& s : slots_) {
       if (!s.wide()) continue;
       const std::uint64_t offset = fresh.size();
       fresh.insert(fresh.end(), arena_.data() + s.lo,
@@ -502,8 +566,10 @@ class CacheManager {
   CacheOptions options_;
   bool bounded_;
   bool byte_bounded_;
+  bool lru_;  // bounded by entries or bytes: recency_ is live
   ExecStats* stats_;
   std::vector<Slot> slots_;
+  std::vector<Recency> recency_;  // parallel to slots_; empty unless lru_
   std::vector<Value> arena_;      // interned wide-key values (spill path)
   std::size_t arena_live_ = 0;    // values in arena_ owned by live entries
   std::uint64_t bytes_ = 0;       // payload bytes charged to capacity_bytes
@@ -552,8 +618,8 @@ struct HotPayload<V, false> {
 /// caches cannot provide.
 ///
 /// Layout: S lock-striped segments, each an independent CacheManager (the
-/// flat open-addressing table with intrusive LRU) behind its own mutex,
-/// with its own ExecStats sink and a per-stripe slice of the global
+/// flat open-addressing table, with LRU recency when bounded) behind its
+/// own mutex, with its own ExecStats sink and a per-stripe slice of the global
 /// entry/byte budget (slices sum exactly to the global budget). A key's
 /// stripe is chosen from the *top* bits of the same (node, key) hash the
 /// segment table indexes with its *bottom* bits, so striping never skews a
@@ -718,6 +784,16 @@ class StripedCacheManager {
   std::uint64_t payload_bytes() const {
     std::uint64_t total = 0;
     for (const auto& s : stripes_) total += s->cache.payload_bytes();
+    return total;
+  }
+
+  /// Bytes the stripes' tables hold resident (CacheManager::resident_bytes
+  /// summed) plus the hot-slot arrays. Quiescent callers only.
+  std::uint64_t resident_bytes() const {
+    std::uint64_t total = 0;
+    for (const auto& s : stripes_) {
+      total += s->cache.resident_bytes() + s->hot.size() * sizeof(HotSlot);
+    }
     return total;
   }
 

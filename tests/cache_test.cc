@@ -231,22 +231,39 @@ TEST(CacheManager, SurvivesGrowthRehash) {
 }
 
 TEST(CacheManager, LruOrderSurvivesGrowthRehash) {
-  // Recency must be preserved across genuine rehashes. Bounded caches
-  // pre-size for their budget and never grow, so drive an unbounded cache
-  // through several doublings (16 -> 1024+ slots) and assert the chain is
-  // still exact reverse insertion order afterwards — Rehash's MRU-first
-  // re-link walk is what this pins.
+  // Recency must be preserved across genuine rehashes. Only bounded caches
+  // keep recency, and they presize for their budget up to
+  // kMaxPresizeEntries, so a budget just above that cap is the one way a
+  // bounded table still grows: cap + 1 inserts outgrow the presized
+  // 2 * cap slots. The chain must still be exact reverse insertion order
+  // afterwards, with a few refreshed keys at the front — Rehash's
+  // MRU-first re-link walk is what this pins.
+  constexpr std::uint64_t kCap =
+      CacheManager<std::uint64_t>::kMaxPresizeEntries;
+  constexpr Value kN = static_cast<Value>(kCap) + 1;
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
-  constexpr Value kN = 1000;
-  for (Value v = 0; v < kN; ++v) {
+  CacheOptions options;
+  options.capacity = static_cast<std::uint64_t>(kN);
+  CacheManager<std::uint64_t> cache(1, options, &stats);
+  constexpr std::uint64_t kSlotAndRecency = 32 + 16;
+  for (Value v = 0; v < kN - 1; ++v) {
     cache.Insert(0, PK({v}), static_cast<std::uint64_t>(v));
   }
+  for (const Value v : {Value{7}, Value{3}}) cache.Lookup(0, PK({v}));
+  ASSERT_EQ(cache.resident_bytes(), 2 * kCap * kSlotAndRecency)
+      << "not presized to the cap, or grew early";
+  cache.Insert(0, PK({kN - 1}), static_cast<std::uint64_t>(kN - 1));
+  ASSERT_EQ(cache.resident_bytes(), 4 * kCap * kSlotAndRecency)
+      << "no growth rehash";
+  EXPECT_EQ(stats.cache_evictions, 0u);
+
   const std::vector<std::uint64_t> order = cache.LruOrderForTest();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
-  for (Value v = 0; v < kN; ++v) {
-    EXPECT_EQ(order[v], static_cast<std::uint64_t>(kN - 1 - v)) << v;
+  std::vector<std::uint64_t> want = {static_cast<std::uint64_t>(kN - 1), 3, 7};
+  for (Value v = kN - 2; v >= 0; --v) {
+    if (v != 3 && v != 7) want.push_back(static_cast<std::uint64_t>(v));
   }
+  EXPECT_TRUE(order == want) << "MRU->LRU order changed across the rehash";
 }
 
 TEST(CacheManager, LruOrderSurvivesEvictionBackwardShift) {
@@ -357,6 +374,22 @@ class OracleCache {
     return true;
   }
 
+  template <typename Pred>
+  std::size_t EvictIf(const Pred& pred) {
+    std::size_t removed = 0;
+    for (auto it = recency_.begin(); it != recency_.end();) {
+      const Tuple& key = it->id.key;
+      if (pred(it->id.node, key.data(), static_cast<int>(key.size()))) {
+        map_.erase(it->id);
+        it = recency_.erase(it);
+        ++removed;
+      } else {
+        ++it;
+      }
+    }
+    return removed;
+  }
+
   std::size_t size() const { return map_.size(); }
 
  private:
@@ -436,12 +469,129 @@ TEST_P(CacheDifferentialTest, RandomizedWorkloadMatchesOracle) {
         ASSERT_EQ(*got, *want) << "step " << step << " value diverged";
       }
     }
+    if (step % 997 == 996) {
+      // Targeted invalidation on a schedule of its own (the rng stream is
+      // untouched): the last key value selects, so wide keys are judged by
+      // an arena-resident value.
+      const Value residue = step % 5;
+      const auto pred = [&](NodeId n, const Value* values, int dims) {
+        return dims == 0 ? n == step % 4 : values[dims - 1] % 5 == residue;
+      };
+      ASSERT_EQ(cache.EvictIf(pred), oracle.EvictIf(pred)) << "step " << step;
+    }
     ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, CacheDifferentialTest,
                          ::testing::Range(0, 5));
+
+// --- Unbounded vs bounded-but-never-full ---------------------------------
+//
+// An unbounded table keeps no recency and re-inserts in slot order on
+// growth; a bounded one keeps the recency array and re-links MRU-first.
+// With a budget that is never reached the two must be observably the same
+// cache: deletion and arena compaction rely on neither a stored hash nor
+// an LRU walk.
+
+class BoundedVsUnboundedTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BoundedVsUnboundedTest, SameSeededSequenceSameAnswers) {
+  CacheOptions bounded_options;
+  if (GetParam() == 0) {
+    bounded_options.capacity = 100000;  // presized, never grows
+  } else {
+    bounded_options.capacity_bytes = std::uint64_t{1} << 40;  // grows
+  }
+  ExecStats unbounded_stats;
+  ExecStats bounded_stats;
+  CacheManager<std::uint64_t> unbounded(4, CacheOptions{}, &unbounded_stats);
+  CacheManager<std::uint64_t> bounded(4, bounded_options, &bounded_stats);
+  std::mt19937_64 rng(777 + GetParam());
+  std::uniform_int_distribution<int> node_dist(0, 3);
+  std::uniform_int_distribution<int> dims_dist(0, 3);  // 3 = spill path
+  std::uniform_int_distribution<Value> value_dist(0, 40);
+  std::uniform_int_distribution<int> op_dist(0, 999);
+  for (int step = 0; step < 60000; ++step) {
+    const NodeId node = node_dist(rng);
+    Tuple key(dims_dist(rng));
+    for (Value& v : key) v = value_dist(rng);
+    const PackedKey packed = PK(key);
+    const int op = op_dist(rng);
+    if (op < 450) {
+      const std::uint64_t payload = static_cast<std::uint64_t>(step);
+      ASSERT_EQ(unbounded.Insert(node, packed, payload),
+                bounded.Insert(node, packed, payload))
+          << "step " << step;
+    } else if (op < 999) {
+      const std::uint64_t* got = bounded.Lookup(node, packed);
+      const std::uint64_t* want = unbounded.Lookup(node, packed);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "step " << step;
+      }
+    } else {
+      // Targeted invalidation: drop a random residue class of the first
+      // key value (and every empty key of one node).
+      const Value residue = value_dist(rng) % 5;
+      const NodeId victim_node = node_dist(rng);
+      const auto pred = [&](NodeId n, const Value* values, int dims) {
+        return dims == 0 ? n == victim_node : values[0] % 5 == residue;
+      };
+      ASSERT_EQ(unbounded.EvictIf(pred), bounded.EvictIf(pred))
+          << "step " << step;
+    }
+    ASSERT_EQ(unbounded.size(), bounded.size()) << "step " << step;
+  }
+  // >= 500 live entries means >= 6 doubling rehashes from 16 slots.
+  EXPECT_GE(unbounded.size(), 500u);
+  EXPECT_EQ(unbounded_stats.cache_hits, bounded_stats.cache_hits);
+  EXPECT_EQ(unbounded_stats.cache_misses, bounded_stats.cache_misses);
+  EXPECT_EQ(unbounded_stats.cache_inserts, bounded_stats.cache_inserts);
+  EXPECT_EQ(bounded_stats.cache_evictions, 0u);
+  EXPECT_GT(unbounded_stats.cache_hits, 0u);
+  EXPECT_GT(unbounded_stats.cache_misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Budgets, BoundedVsUnboundedTest,
+                         ::testing::Values(0, 1));
+
+// --- Resident footprint ----------------------------------------------------
+
+TEST(CacheFootprint, UnboundedCountTableIsThirtyTwoBytesPerSlot) {
+  ExecStats stats;
+  CacheManager<std::uint64_t> cache(2, CacheOptions{}, &stats);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  // Load stays <= 1/2 and the table doubles from 16 slots: 1000 entries
+  // need 2048 slots. No recency array, no arena for inline keys.
+  for (Value v = 0; v < 1000; ++v) {
+    cache.Insert(static_cast<NodeId>(v & 1), PK({v, -v}), 1);
+  }
+  EXPECT_EQ(cache.resident_bytes(), 2048u * 32);
+}
+
+TEST(CacheFootprint, BoundedTableAddsRecencyAndWideKeysAddArena) {
+  ExecStats stats;
+  CacheOptions options;
+  options.capacity = 100;  // presized to 256 slots
+  CacheManager<std::uint64_t> cache(1, options, &stats);
+  cache.Insert(0, PK({1}), 1);
+  EXPECT_EQ(cache.resident_bytes(), 256u * (32 + 16));
+
+  CacheManager<std::uint64_t> wide(1, CacheOptions{}, &stats);
+  const Tuple key = {1, 2, 3};
+  wide.Insert(0, PK(key), 1);
+  EXPECT_EQ(wide.resident_bytes(), 16u * 32 + 3 * sizeof(Value));
+}
+
+TEST(CacheFootprint, StripedSumsItsStripes) {
+  CacheOptions options;
+  options.stripes = 1;
+  StripedCacheManager<std::uint64_t> cache(1, options, /*workers=*/1);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  for (Value v = 0; v < 1000; ++v) cache.Insert(0, PK({v}), 1);
+  EXPECT_EQ(cache.resident_bytes(), 2048u * 32);
+}
 
 TEST(CacheOptions, ToStringDescribesPolicy) {
   CacheOptions options;
