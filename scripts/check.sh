@@ -23,11 +23,12 @@ if [[ -x "$BUILD_DIR/bench_fig5_count" ]]; then
 else
   echo "warning: bench_fig5_count not built (google-benchmark missing?)" >&2
 fi
+# bench_parallel_scaling exits nonzero unless CLFTJ-P at 4 threads counts
+# the wiki-Vote 5-cycle >= 1.3x faster than CLFTJ with an identical count
+# (best of 5 arm-alternating trials; the speedup gate is skipped with a
+# printed reason below 4 hardware threads) — self-gating.
 if [[ -x "$BUILD_DIR/bench_parallel_scaling" ]]; then
   (cd "$BUILD_DIR" && ./bench_parallel_scaling --quick --benchmark_min_warmup_time=0)
-fi
-if [[ -x "$BUILD_DIR/bench_striped_cache" ]]; then
-  (cd "$BUILD_DIR" && ./bench_striped_cache --quick --benchmark_min_warmup_time=0)
 fi
 if [[ -x "$BUILD_DIR/bench_build" ]]; then
   (cd "$BUILD_DIR" && ./bench_build --quick --benchmark_min_warmup_time=0)

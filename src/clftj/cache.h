@@ -52,21 +52,10 @@ struct CacheOptions {
   enum class Eviction { kRejectNew, kLru };
   Eviction eviction = Eviction::kLru;
 
-  /// Cache placement for parallel (sharded) execution. kPrivate: each shard
-  /// owns a CacheManager sized capacity/K — no cross-shard coordination on
-  /// the hot path, but shards recompute each other's subtrees. kStriped:
-  /// all shards probe and fill one StripedCacheManager — S lock-striped
-  /// segments whose per-stripe budgets sum to the global capacity — so a
-  /// subtree computed by any shard is a hit for every other shard
-  /// (cross-shard reuse at the price of a stripe mutex per cache call).
-  /// Single-threaded CachedTrieJoin ignores the knob: one run with one
-  /// private cache already *is* the global budget.
-  enum class Sharing { kPrivate, kStriped };
-  Sharing sharing = Sharing::kPrivate;
-
-  /// Stripe count for Sharing::kStriped; 0 picks one from the worker count
-  /// (see StripedCacheManager::ChooseStripes). Rounded up to a power of two
-  /// and clamped so every stripe's share of a bounded budget is >= 1.
+  /// Stripe count of the StripedCacheManager that CLFTJ-P's workers share;
+  /// 0 picks one from the worker count (see
+  /// StripedCacheManager::ChooseStripes). Rounded up to a power of two and
+  /// clamped so every stripe's share of a bounded budget is >= 1.
   int stripes = 0;
 
   /// Adhesions wider than this are never cached (the paper's implementation
@@ -611,11 +600,10 @@ struct HotPayload<V, false> {
 
 }  // namespace cache_internal
 
-/// The shared cache of CLFTJ-P under CacheOptions::Sharing::kStriped: one
-/// logical (node, adhesion key) -> payload table that all shards of a
-/// parallel run probe and fill, so a subtree computed by any shard is a hit
-/// for every other shard — the cross-shard reuse that private capacity/K
-/// caches cannot provide.
+/// The shared cache of CLFTJ-P: one logical (node, adhesion key) -> payload
+/// table that all workers of a parallel run probe and fill, so a subtree
+/// computed for any morsel is a hit for every other — the reuse that
+/// per-worker private caches cannot provide.
 ///
 /// Layout: S lock-striped segments, each an independent CacheManager (the
 /// flat open-addressing table, with LRU recency when bounded) behind its
@@ -628,7 +616,7 @@ struct HotPayload<V, false> {
 /// flat-table operation instead of a globally ordered structure.
 ///
 /// Concurrency contract: Lookup copies the payload out under the stripe
-/// mutex (a pointer into a slot would dangle the moment another shard
+/// mutex (a pointer into a slot would dangle the moment another worker
 /// inserts), and Insert publishes under the same mutex, so a payload
 /// frozen-before-insert is safely readable by every other thread. Stats
 /// are charged to the owning stripe (hits, misses, probe memory accesses,
@@ -809,12 +797,14 @@ class StripedCacheManager {
     return out;
   }
 
-  /// Stripe-count policy: the smallest power of two >= 2x the worker count
-  /// (clamped to [1, 64]) keeps the expected contention on any one mutex
-  /// low without scattering a bounded budget too thin; a bounded budget
-  /// additionally clamps the count so every stripe's slice is >= 1 entry
-  /// (and >= 1 byte in byte mode). An explicit CacheOptions::stripes wins,
-  /// rounded up to a power of two, under the same budget clamp.
+  /// Stripe-count policy: the smallest power of two >= 8x the worker count
+  /// (clamped to [1, 64]). Every cache call takes its stripe's mutex, so
+  /// with few stripes the workers queue on them: the wiki-Vote 5-cycle at
+  /// 4 morsel workers (4-vCPU host) took ~1.1 s with 8 stripes, ~0.85 s
+  /// with 32 and ~0.75 s with 64. A bounded budget additionally clamps the
+  /// count so every stripe's slice is >= 1 entry (and >= 1 byte in byte
+  /// mode). An explicit CacheOptions::stripes wins, rounded up to a power
+  /// of two, under the same budget clamp.
   static int ChooseStripes(const CacheOptions& options, int workers) {
     int want;
     if (options.stripes > 0) {
@@ -823,7 +813,7 @@ class StripedCacheManager {
     } else {
       const int w = workers < 1 ? 1 : workers;
       want = 1;
-      while (want < 2 * w && want < 64) want <<= 1;
+      while (want < 8 * w && want < 64) want <<= 1;
     }
     while (want > 1 &&
            ((options.capacity > 0 &&
@@ -948,9 +938,10 @@ class StripedCacheManager {
 };
 
 /// The cache a single run state (CountRun/EvalRun) sees: either a private
-/// CacheManager owned by the run (sequential CLFTJ, or CLFTJ-P under
-/// Sharing::kPrivate) or a borrowed pointer to the run-wide
-/// StripedCacheManager (Sharing::kStriped). One predictable branch per
+/// CacheManager owned by the run (sequential CLFTJ, and one-worker CLFTJ-P)
+/// or a borrowed pointer to a shared StripedCacheManager (multi-worker
+/// CLFTJ-P, and the serving loop's persistent tables). One predictable
+/// branch per
 /// call; both paths return the payload by value so call sites are uniform
 /// and never hold a pointer into a table another thread may mutate.
 template <typename V>

@@ -16,9 +16,9 @@ namespace clftj {
 //
 // Both run states honor a FirstVarRange: at depth 0 the leapfrog join is
 // seeked to range.lo before iteration and the loop stops at the first key
-// >= range.hi. Because shards are contiguous value intervals and the trie
-// enumerates keys in ascending order, concatenating the per-shard outputs
-// in shard order reproduces the unrestricted run exactly.
+// >= range.hi. Because morsels are contiguous value intervals and the trie
+// enumerates keys in ascending order, concatenating the per-morsel outputs
+// in morsel order reproduces the unrestricted run exactly.
 
 void CountRun::RCachedJoin(int d, std::uint64_t f) {
   if (d == static_cast<int>(plan_.order.size())) {
@@ -257,7 +257,7 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
   MakeContext(q, db, *plan, &result.stats, &ctx);
   if (!ctx->HasEmptyAtom()) {
     CountRun run(*plan, options_.cache, &*ctx, &result.stats, limits,
-                 FirstVarRange{}, limits.cancel, options_.shared_count_cache);
+                 limits.cancel, options_.shared_count_cache);
     result.count = run.Run();
     result.SetStatus(
         MergeRunStatus(run.timed_out(), /*any_out_of_memory=*/false,
@@ -291,7 +291,7 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
   if (!ctx.HasEmptyAtom()) {
     const TupleCallback noop = [](const Tuple&) {};
     EvalRun eval(*plan, options_.cache, &ctx, &run->stats, noop, limits,
-                 /*expand_at_leaf=*/false, FirstVarRange{}, limits.cancel);
+                 /*expand_at_leaf=*/false, limits.cancel);
     eval.Run();
     run->SetStatus(MergeRunStatus(eval.timed_out(), eval.out_of_memory(),
                                   limits.cancel));
@@ -320,7 +320,7 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
   MakeContext(q, db, *plan, &result.stats, &ctx);
   if (!ctx->HasEmptyAtom()) {
     EvalRun run(*plan, options_.cache, &*ctx, &result.stats, cb, limits,
-                /*expand_at_leaf=*/true, FirstVarRange{}, limits.cancel,
+                /*expand_at_leaf=*/true, limits.cancel,
                 /*shared_intermediates=*/nullptr,
                 options_.shared_eval_cache);
     result.count = run.Run();

@@ -19,10 +19,10 @@
 namespace clftj {
 
 /// Restriction of a CLFTJ run to first-variable values in the half-open
-/// interval [lo, hi) — the sharding unit of the parallel executor
-/// (ShardedCachedTrieJoin splits the first variable's sibling range into
-/// contiguous shards of these). The default range covers the whole domain,
-/// which makes an unrestricted run just the 1-shard special case.
+/// interval [lo, hi) — the morsel of the parallel executor
+/// (ShardedCachedTrieJoin cuts the first variable's domain into small
+/// ascending morsels of these). The default range covers the whole domain,
+/// which makes an unrestricted run just the 1-morsel special case.
 struct FirstVarRange {
   Value lo = std::numeric_limits<Value>::min();
   /// When false, the range is unbounded above and `hi` is ignored.
@@ -38,20 +38,20 @@ struct FirstVarRange {
 /// intermediate counters, the cache, stats and the deadline — lives here,
 /// while the CachedPlan and the trie substrate behind `ctx` are shared
 /// immutable inputs. N CountRuns over one plan/substrate (each with its own
-/// cursor, stats sink and cache) may execute concurrently.
+/// cursor, stats sink and cache) may execute concurrently, and one CountRun
+/// may run many ranges in turn under its single deadline window.
 class CountRun {
  public:
-  /// `range` restricts the first variable; `abort` (optional) is a stop
-  /// flag shared across concurrent runs — this run trips it on its own
-  /// deadline expiry and halts within one deadline stride when any other
-  /// run trips it. `shared_cache` (optional) replaces the run's private
-  /// cache with the run-wide striped table (Sharing::kStriped): this run
-  /// then probes and fills the one table all concurrent runs share, and
-  /// `cache_options` budgets are ignored (the striped table carries the
-  /// global budget itself).
+  /// `abort` (optional) is a stop flag shared across concurrent runs —
+  /// this run trips it on its own deadline expiry and halts within one
+  /// deadline stride when any other run trips it. `shared_cache`
+  /// (optional) replaces the run's private cache with a striped table
+  /// shared by concurrent runs: this run then probes and fills that one
+  /// table, and `cache_options` budgets are ignored (the striped table
+  /// carries the global budget itself).
   CountRun(const CachedPlan& plan, const CacheOptions& cache_options,
            TrieJoinContext* ctx, ExecStats* stats, const RunLimits& limits,
-           const FirstVarRange& range = {}, AbortFlag* abort = nullptr,
+           AbortFlag* abort = nullptr,
            StripedCacheManager<std::uint64_t>* shared_cache = nullptr)
       : plan_(plan),
         ctx_(ctx),
@@ -61,11 +61,15 @@ class CountRun {
         node_key_(plan.cacheable.size()),
         node_wide_(plan.cacheable.size()),
         assignment_(plan.order.size(), kNullValue),
-        range_(range),
         deadline_(limits.timeout_seconds, abort) {}
 
-  std::uint64_t Run() {
-    RCachedJoin(0, 1);
+  /// Counts the results whose first variable lies in `range`. Repeated
+  /// calls run further ranges with the same cache and deadline; nothing
+  /// runs once the run has aborted.
+  std::uint64_t Run(const FirstVarRange& range = {}) {
+    range_ = range;
+    total_ = 0;
+    if (!aborted_) RCachedJoin(0, 1);
     return total_;
   }
 
@@ -97,16 +101,16 @@ class EvalRun {
   /// `shared_intermediates` (optional) makes RunLimits::max_intermediate_
   /// tuples a *run-wide* budget across concurrent EvalRuns: every
   /// materialized entry is counted through the shared counter instead of
-  /// this run's private stats, so K shards together never exceed the one
-  /// budget a single-thread run gets. Null keeps the private accounting.
-  /// `shared_cache` (optional) is the Sharing::kStriped table shared by all
+  /// this run's private stats, so all workers together never exceed the
+  /// one budget a single-thread run gets. Null keeps the private
+  /// accounting. `shared_cache` (optional) is a striped table shared by
   /// concurrent runs; factorized sets are frozen before insert and
   /// published through the stripe mutex, so a hit may hand this run a set
-  /// built by another shard (see StripedCacheManager).
+  /// built by another worker (see StripedCacheManager).
   EvalRun(const CachedPlan& plan, const CacheOptions& cache_options,
           TrieJoinContext* ctx, ExecStats* stats, const TupleCallback& cb,
           const RunLimits& limits, bool expand_at_leaf = true,
-          const FirstVarRange& range = {}, AbortFlag* abort = nullptr,
+          AbortFlag* abort = nullptr,
           std::atomic<std::uint64_t>* shared_intermediates = nullptr,
           StripedCacheManager<FactorizedSetPtr>* shared_cache = nullptr)
       : expand_at_leaf_(expand_at_leaf),
@@ -121,24 +125,28 @@ class EvalRun {
         node_key_(plan.cacheable.size()),
         node_wide_(plan.cacheable.size()),
         assignment_(plan.order.size(), kNullValue),
-        range_(range),
         deadline_(limits.timeout_seconds, abort),
         abort_(abort),
         shared_intermediates_(shared_intermediates),
         max_intermediates_(limits.max_intermediate_tuples) {}
 
-  std::uint64_t Run() {
-    RCachedJoin(0);
+  /// Evaluates the results whose first variable lies in `range` and
+  /// returns how many tuples it emitted. Repeated calls run further ranges,
+  /// as CountRun::Run does.
+  std::uint64_t Run(const FirstVarRange& range = {}) {
+    range_ = range;
+    emitted_ = 0;
+    if (!aborted()) RCachedJoin(0);
     return emitted_;
   }
 
   bool timed_out() const { return timed_out_; }
   bool out_of_memory() const { return out_of_memory_; }
 
-  /// Freezes and returns the root node's accumulated factorized set (only
-  /// meaningful after Run() in maintain-everything mode). Returned mutable
-  /// and uniquely owned so a sharded caller can splice shard roots together
-  /// without copying.
+  /// Freezes and returns the root node's factorized set accumulated since
+  /// the last call (only meaningful after Run() in maintain-everything
+  /// mode). Returned mutable and uniquely owned so a parallel caller can
+  /// splice morsel roots together without copying.
   std::shared_ptr<FactorizedSet> TakeRootSet();
 
  private:

@@ -1,5 +1,7 @@
 #include "engine/engine.h"
 
+#include <thread>
+
 #include "baseline/generic_join.h"
 #include "baseline/hash_join.h"
 #include "baseline/nested_loop.h"
@@ -85,6 +87,12 @@ RunStatus ValidateQueryForDatabase(const Query& q, const Database& db,
   }
   if (message != nullptr) message->clear();
   return RunStatus::kOk;
+}
+
+int EffectiveThreads(int threads) {
+  if (threads > 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 std::vector<std::string> EngineNames() {

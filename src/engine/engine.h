@@ -79,7 +79,7 @@ struct RunLimits {
   /// owner trips it — with RunStatus::kCancelled for an external cancel —
   /// and the run halts within one deadline-check stride, reporting the
   /// trip reason. Parallel engines use it directly as the workers' shared
-  /// stop flag, so one trip stops every shard.
+  /// stop flag, so one trip stops every worker.
   AbortFlag* cancel = nullptr;
 };
 
@@ -228,15 +228,20 @@ std::vector<std::string> EngineNames();
 /// without constructing (and immediately discarding) an engine.
 bool IsKnownEngine(const std::string& name);
 
+/// The worker count a `threads` setting resolves to: the value itself when
+/// positive, else one per hardware thread (1 when the count is unknown).
+/// CLFTJ-P and everything that sizes for its workers use this one rule.
+int EffectiveThreads(int threads);
+
 /// Cross-engine construction knobs for MakeEngine. Engines that have no
-/// use for a knob ignore it (only CLFTJ consumes `cache`, only CLFTJ-P
-/// consumes `threads` — including `cache.sharing`, which selects between
-/// private capacity/K shard caches and the striped shared table).
+/// use for a knob ignore it (only the CLFTJ family consumes `cache`, only
+/// CLFTJ-P consumes `threads`).
 struct EngineOptions {
-  /// CLFTJ-P worker count; <= 0 means one per hardware thread.
+  /// CLFTJ-P worker count; <= 0 means one per hardware thread
+  /// (EffectiveThreads).
   int threads = 0;
   /// CLFTJ / CLFTJ-P cache configuration (admission, capacity, eviction,
-  /// sharing). Defaults to the unbounded always-admit cache.
+  /// stripes). Defaults to the unbounded always-admit cache.
   CacheOptions cache;
 
   // Cross-query reuse injection (CLFTJ / CLFTJ-P only; others ignore it).
@@ -255,9 +260,9 @@ struct EngineOptions {
   StripedCacheManager<FactorizedSetPtr>* shared_eval_cache = nullptr;
 };
 
-/// Factory over all engines: "LFTJ", "CLFTJ", "CLFTJ-P" (parallel sharded
-/// CLFTJ, one worker per hardware thread by default), "YTD", "PairwiseHJ"
-/// (the PostgreSQL stand-in), "GenericJoin" (the SYS1 stand-in),
+/// Factory over all engines: "LFTJ", "CLFTJ", "CLFTJ-P" (morsel-driven
+/// parallel CLFTJ, one worker per hardware thread by default), "YTD",
+/// "PairwiseHJ" (the PostgreSQL stand-in), "GenericJoin" (the SYS1 stand-in),
 /// "NestedLoop" (the reference). Returns nullptr for an unknown name.
 /// Engines built here use their default planning policies.
 std::unique_ptr<JoinEngine> MakeEngine(const std::string& name);

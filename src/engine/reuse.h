@@ -62,7 +62,7 @@ struct ShapeCaches {
 class CrossQueryReuse {
  public:
   /// `stripes_hint` sizes the persistent striped caches (number of
-  /// concurrent probers to expect, e.g. worker count x shard count);
+  /// concurrent probers to expect, e.g. workers x CLFTJ-P threads);
   /// <= 0 lets the cache pick.
   CrossQueryReuse(const ReuseOptions& options, PlannerOptions planner,
                   CacheOptions cache, int stripes_hint = 0);

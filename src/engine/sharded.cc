@@ -14,41 +14,23 @@ namespace clftj {
 
 namespace {
 
-// The shard layout of one parallel run: the per-shard first-variable
-// ranges and the per-shard cache budget.
-struct ShardSetup {
-  std::vector<FirstVarRange> shards;
-  CacheOptions cache;
-};
+// Morsels per worker. Enough that the hub-heavy first values of a
+// power-law domain spread over every worker, few enough that the
+// per-morsel cost (one depth-0 seek, one stats copy) stays invisible.
+constexpr std::size_t kMorselsPerWorker = 16;
 
-// Splits the first variable's domain into at most `threads` contiguous
-// shards and derives the per-shard cache budget. Under Sharing::kPrivate
-// the global entry and byte budgets are split evenly over K private caches
-// (floored, min 1 so a tiny budget over many shards still caches
-// something). Under Sharing::kStriped the budgets are left whole: the
-// run-wide StripedCacheManager carries the global budget itself (split
-// across its stripes, not across shards), and the per-run cache options
-// only configure admission/eviction policy.
+// Cuts the first variable's domain into at most kMorselsPerWorker x
+// `workers` ascending morsels. A single worker gets the one unbounded
+// morsel (byte-for-byte the sequential execution).
 //
 // The boundaries come from an O(K) index split of one depth-0 atom's
 // top-level sibling array — the smallest one, since the intersection is a
 // subset of each participant. No leapfrog pass, no key buffer, no deadline
-// concern: the old probe materialized the whole depth-0 intersection
-// serially (O(n) accesses before any worker started), which dominated the
-// serial prelude on very large domains. The split is near-equal in that
-// atom's value array, not in the intersection, so shards can be less
-// balanced than the exact split — the price of an O(K) prelude. A single
-// thread needs no boundaries at all and runs the one unbounded shard
-// (byte-for-byte the sequential execution).
-ShardSetup PrepareShards(const TrieJoinSubstrate& substrate, int threads,
-                         const CacheOptions& global_cache) {
-  ShardSetup setup;
-  setup.cache = global_cache;
-  if (threads <= 1) {
-    setup.shards.emplace_back();  // whole domain
-    return setup;
-  }
-
+// concern. The split is near-equal in that atom's value array, not in the
+// work: skew is what the many small morsels and the shared queue absorb.
+std::vector<FirstVarRange> PrepareMorsels(const TrieJoinSubstrate& substrate,
+                                          int workers) {
+  if (workers <= 1) return {FirstVarRange{}};
   const std::vector<int>& participants = substrate.atoms_at_depth()[0];
   const std::vector<Value>* split = nullptr;
   for (const int a : participants) {
@@ -57,91 +39,91 @@ ShardSetup PrepareShards(const TrieJoinSubstrate& substrate, int threads,
   }
   CLFTJ_CHECK(split != nullptr);
   // Two-tier views split on the main tier's top level only (the intervals
-  // partition the whole value space, so added values land in some shard
+  // partition the whole value space, so added values land in some morsel
   // regardless). A view whose main tier is empty but whose overlay is not
-  // offers no boundaries at all — run the one unbounded shard.
-  if (split->empty()) {
-    setup.shards.emplace_back();
-    return setup;
-  }
+  // offers no boundaries at all — run the one unbounded morsel.
+  if (split->empty()) return {FirstVarRange{}};
   const std::size_t n = split->size();
-  const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(threads), n);
-  setup.shards.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::size_t begin = s * n / k;
-    const std::size_t end = (s + 1) * n / k;
-    if (begin == end) continue;  // k <= n makes this unreachable; belt+braces
-    FirstVarRange range;
-    // Sibling arrays hold distinct sorted values, so consecutive [begin,
-    // end) index windows yield disjoint half-open value intervals that
-    // jointly cover the atom's whole top level — and therefore every
-    // depth-0 intersection key. The first shard is left unbounded below
-    // and the last unbounded above for the same reason.
-    if (s > 0) range.lo = (*split)[begin];
+  const std::size_t k = std::min<std::size_t>(
+      kMorselsPerWorker * static_cast<std::size_t>(workers), n);
+  std::vector<FirstVarRange> morsels(k);
+  for (std::size_t m = 0; m < k; ++m) {
+    // Sibling arrays hold distinct sorted values and k <= n, so consecutive
+    // non-empty [m*n/k, (m+1)*n/k) index windows yield disjoint half-open
+    // value intervals that jointly cover the atom's whole top level — and
+    // therefore every depth-0 intersection key. The first morsel is left
+    // unbounded below and the last unbounded above for the same reason.
+    const std::size_t begin = m * n / k;
+    const std::size_t end = (m + 1) * n / k;
+    if (m > 0) morsels[m].lo = (*split)[begin];
     if (end < n) {
-      range.has_hi = true;
-      range.hi = (*split)[end];
-    }
-    setup.shards.push_back(range);
-  }
-  if (setup.cache.sharing == CacheOptions::Sharing::kPrivate) {
-    if (k > 1 && setup.cache.capacity > 0) {
-      setup.cache.capacity =
-          std::max<std::uint64_t>(1, setup.cache.capacity / k);
-    }
-    if (k > 1 && setup.cache.capacity_bytes > 0) {
-      setup.cache.capacity_bytes =
-          std::max<std::uint64_t>(1, setup.cache.capacity_bytes / k);
+      morsels[m].has_hi = true;
+      morsels[m].hi = (*split)[end];
     }
   }
-  return setup;
+  return morsels;
 }
 
-// Builds the run-wide striped shared cache when the options select it
-// (Sharing::kStriped); null otherwise. The manager carries the *global*
-// budget — split across its stripes, never across shards — and every
-// worker of the run probes and fills it through its RunCache.
+// The striped table a multi-worker run shares: the injected persistent one
+// when set, else a run-owned table (returned through *owned) carrying the
+// undivided global budget. One worker needs no shared table: it keeps the
+// injected one if any, else its private cache, exactly as CLFTJ does.
 template <typename V>
-std::unique_ptr<StripedCacheManager<V>> MaybeStriped(const CacheOptions& cache,
-                                                     const CachedPlan& plan,
-                                                     std::size_t workers) {
-  if (cache.sharing != CacheOptions::Sharing::kStriped) return nullptr;
-  return std::make_unique<StripedCacheManager<V>>(
+StripedCacheManager<V>* SharedTable(StripedCacheManager<V>* injected,
+                                    std::size_t workers,
+                                    const CacheOptions& cache,
+                                    const CachedPlan& plan,
+                                    std::unique_ptr<StripedCacheManager<V>>*
+                                        owned) {
+  if (injected != nullptr || workers <= 1) return injected;
+  *owned = std::make_unique<StripedCacheManager<V>>(
       static_cast<int>(plan.cacheable.size()), cache,
       static_cast<int>(workers));
+  return owned->get();
 }
 
-// Runs work(0..n-1): shard 0 on the calling thread, the rest on their own
-// threads. n == 1 stays entirely thread-free so the single-shard path is
+// Runs worker(0..n-1): worker 0 on the calling thread, the rest on their
+// own threads. n == 1 stays entirely thread-free so a one-worker run is
 // byte-for-byte the sequential execution.
-void RunShards(std::size_t n, const std::function<void(std::size_t)>& work) {
-  if (n <= 1) {
-    if (n == 1) work(0);
-    return;
-  }
+void RunWorkers(std::size_t n, const std::function<void()>& worker) {
   std::vector<std::thread> pool;
   pool.reserve(n - 1);
-  for (std::size_t s = 1; s < n; ++s) pool.emplace_back(work, s);
-  work(0);
+  for (std::size_t w = 1; w < n; ++w) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 }
 
-// Merges per-shard stats into `into`: counters sum (ExecStats::Merge), but
-// cache peaks are re-accumulated as sums because the K private caches
-// coexist — the run's true peak footprint is the sum of shard peaks, not
-// their max.
-void MergeShardStats(ExecStats* into, const std::vector<ExecStats>& shards) {
-  std::uint64_t entries_peak = into->cache_entries_peak;
-  std::uint64_t bytes_peak = into->cache_bytes_peak;
-  for (const ExecStats& s : shards) {
-    into->Merge(s);
-    entries_peak += s.cache_entries_peak;
-    bytes_peak += s.cache_bytes_peak;
+// The morsel queue every worker pulls from: ascending indices off one
+// atomic counter. Once the run's stop flag trips it hands out nothing
+// more, so a pre-tripped (cancelled) run executes no morsel at all.
+class MorselQueue {
+ public:
+  MorselQueue(std::size_t size, const AbortFlag* abort)
+      : size_(size), abort_(abort) {}
+
+  bool Next(std::size_t* m) {
+    if (abort_->Tripped()) return false;
+    *m = next_.fetch_add(1, std::memory_order_relaxed);
+    return *m < size_;
   }
-  into->cache_entries_peak = entries_peak;
-  into->cache_bytes_peak = bytes_peak;
-}
+
+ private:
+  const std::size_t size_;
+  const AbortFlag* abort_;
+  std::atomic<std::size_t> next_{0};
+};
+
+// Per-morsel outcome, merged in morsel order after the workers join.
+// `stats` is the slice of the worker's counters the morsel charged.
+struct MorselOutcome {
+  bool ran = false;
+  std::uint64_t count = 0;
+  ExecStats stats;
+  bool timed_out = false;
+  bool out_of_memory = false;
+  std::vector<Tuple> tuples;             // Evaluate only
+  std::shared_ptr<FactorizedSet> root;   // EvaluateFactorized only
+};
 
 // The wall-clock budget left after `elapsed` seconds of this run (plan
 // resolution, substrate build), preserving 0 = unlimited. Handing workers
@@ -159,24 +141,71 @@ RunLimits RemainingLimits(const RunLimits& limits, const Timer& timer) {
   return remaining;
 }
 
-// The run's shared stop flag: the caller-provided cancel handle when one
-// is set (so an external Trip(kCancelled) stops every worker and the run
-// reports the typed reason), else a run-local flag. Typed-status folding —
-// OOM dominates, then an external cancel, then timeout — lives in
+// One parallel run's schedule, shared by Count, Evaluate and
+// EvaluateFactorized: the morsels, how many workers pull them, the
+// remaining budget every worker's one deadline window gets, the stop flag,
+// the queue and the per-morsel outcomes.
+//
+// The stop flag is the caller-provided cancel handle when one is set (so
+// an external Trip(kCancelled) stops every worker and the run reports the
+// typed reason), else a run-local flag. Typed-status folding — OOM
+// dominates, then an external cancel, then timeout — lives in
 // MergeRunStatus (engine.cc): secondary "timeouts" of workers that only
 // observed a sibling's trip are artifacts of the stop signal, not real
 // deadlines.
-AbortFlag* SharedAbort(const RunLimits& limits, AbortFlag* local) {
-  return limits.cancel != nullptr ? limits.cancel : local;
-}
+struct MorselRun {
+  MorselRun(const TrieJoinSubstrate& substrate, int threads,
+            const RunLimits& limits, const Timer& timer)
+      : morsels(PrepareMorsels(substrate, threads)),
+        workers(std::min<std::size_t>(static_cast<std::size_t>(threads),
+                                      morsels.size())),
+        worker_limits(RemainingLimits(limits, timer)),
+        abort(limits.cancel != nullptr ? limits.cancel : &local_abort),
+        queue(morsels.size(), abort),
+        out(morsels.size()) {}
+
+  // Pulls morsels until the queue drains or `run` reports the worker's
+  // run state aborted. The state charges one worker-wide ExecStats sink;
+  // each morsel's share is moved into its outcome and the sink reset, so
+  // stats merge in morsel order.
+  void Drain(ExecStats* sink,
+             const std::function<bool(MorselOutcome*, std::size_t)>& run) {
+    std::size_t m;
+    while (queue.Next(&m)) {
+      MorselOutcome& o = out[m];
+      o.ran = true;
+      const bool ok = run(&o, m);
+      o.stats = *sink;
+      sink->Reset();
+      if (!ok) return;
+    }
+  }
+
+  // Folds the outcomes into *into in morsel order and sets its status. A
+  // morsel the stop flag kept from running counts as timed out, which
+  // MergeRunStatus reports under the flag's own reason (e.g. kCancelled).
+  void Merge(RunResult* into) const {
+    bool any_timed_out = false;
+    bool any_oom = false;
+    for (const MorselOutcome& o : out) {
+      into->count += o.count;
+      into->stats.Merge(o.stats);
+      any_timed_out |= o.timed_out || !o.ran;
+      any_oom |= o.out_of_memory;
+    }
+    into->SetStatus(MergeRunStatus(any_timed_out, any_oom, abort));
+  }
+
+  const std::vector<FirstVarRange> morsels;
+  const std::size_t workers;
+  const RunLimits worker_limits;
+  AbortFlag local_abort;
+  AbortFlag* const abort;
+  MorselQueue queue;
+  std::vector<MorselOutcome> out;
+};
 
 }  // namespace
-
-int ShardedCachedTrieJoin::EffectiveThreads() const {
-  if (options_.threads > 0) return options_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 
 const CachedPlan* ShardedCachedTrieJoin::PlanFor(
     const Query& q, const Database& db,
@@ -206,50 +235,27 @@ RunResult ShardedCachedTrieJoin::Count(const Query& q, const Database& db,
   const TrieJoinSubstrate& substrate =
       *SubstrateFor(q, db, plan, &local_substrate);
   if (!substrate.HasEmptyAtom()) {
-    const ShardSetup setup =
-        PrepareShards(substrate, EffectiveThreads(), options_.cache);
-    const std::vector<FirstVarRange>& shards = setup.shards;
-    const RunLimits worker_limits = RemainingLimits(limits, timer);
-
-    AbortFlag local_abort;
-    AbortFlag* abort = SharedAbort(limits, &local_abort);
-    // An injected persistent cache supersedes a run-owned striped table;
-    // the run then never calls AggregatedStats (that merge is only sound on
-    // a quiescent table, and an injected cache stays live across runs).
-    const auto striped_owned =
-        options_.shared_count_cache != nullptr
-            ? nullptr
-            : MaybeStriped<std::uint64_t>(options_.cache, plan, shards.size());
-    StripedCacheManager<std::uint64_t>* striped =
-        options_.shared_count_cache != nullptr ? options_.shared_count_cache
-                                               : striped_owned.get();
-    std::vector<std::uint64_t> counts(shards.size(), 0);
-    std::vector<ExecStats> stats(shards.size());
-    std::vector<char> timed_out(shards.size(), 0);
-    RunShards(shards.size(), [&](std::size_t s) {
-      TrieJoinContext ctx(substrate, &stats[s]);
-      CountRun run(plan, setup.cache, &ctx, &stats[s], worker_limits,
-                   shards[s], abort, striped);
-      counts[s] = run.Run();
-      timed_out[s] = run.timed_out() ? 1 : 0;
+    MorselRun mr(substrate, EffectiveThreads(options_.threads), limits,
+                 timer);
+    // A run-owned table is merged into the stats after the join; an
+    // injected one never is (that merge is only sound on a quiescent
+    // table, and an injected cache stays live across runs).
+    std::unique_ptr<StripedCacheManager<std::uint64_t>> owned;
+    StripedCacheManager<std::uint64_t>* shared = SharedTable(
+        options_.shared_count_cache, mr.workers, options_.cache, plan, &owned);
+    RunWorkers(mr.workers, [&] {
+      ExecStats sink;
+      TrieJoinContext ctx(substrate, &sink);
+      CountRun run(plan, options_.cache, &ctx, &sink, mr.worker_limits,
+                   mr.abort, shared);
+      mr.Drain(&sink, [&](MorselOutcome* o, std::size_t m) {
+        o->count = run.Run(mr.morsels[m]);
+        o->timed_out = run.timed_out();
+        return !o->timed_out;
+      });
     });
-
-    bool any_timed_out = false;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      result.count += counts[s];
-      any_timed_out |= timed_out[s] != 0;
-    }
-    MergeShardStats(&result.stats, stats);
-    // Striped mode: the shared table's counters live in per-stripe stats
-    // (workers charge cache traffic to the owning stripe, not to their own
-    // sinks) — fold the deterministic stripe-order aggregate in after the
-    // join. Worker cache peaks are zero here, so Merge's max-merge passes
-    // the summed stripe peaks through unchanged.
-    if (striped_owned != nullptr) {
-      result.stats.Merge(striped_owned->AggregatedStats());
-    }
-    result.SetStatus(MergeRunStatus(any_timed_out,
-                                    /*any_out_of_memory=*/false, abort));
+    mr.Merge(&result);
+    if (owned != nullptr) result.stats.Merge(owned->AggregatedStats());
   }
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
@@ -267,84 +273,55 @@ RunResult ShardedCachedTrieJoin::Evaluate(const Query& q, const Database& db,
   const TrieJoinSubstrate& substrate =
       *SubstrateFor(q, db, plan, &local_substrate);
   if (!substrate.HasEmptyAtom()) {
-    const ShardSetup setup =
-        PrepareShards(substrate, EffectiveThreads(), options_.cache);
-    const std::vector<FirstVarRange>& shards = setup.shards;
-    const RunLimits worker_limits = RemainingLimits(limits, timer);
-
-    struct ShardOutcome {
-      std::vector<Tuple> tuples;
-      ExecStats stats;
-      bool timed_out = false;
-      bool out_of_memory = false;
-    };
-    AbortFlag local_abort;
-    AbortFlag* abort = SharedAbort(limits, &local_abort);
-    // Injected persistent cache supersedes a run-owned striped table (see
-    // Count).
-    const auto striped_owned =
-        options_.shared_eval_cache != nullptr
-            ? nullptr
-            : MaybeStriped<FactorizedSetPtr>(options_.cache, plan,
-                                             shards.size());
-    StripedCacheManager<FactorizedSetPtr>* striped =
-        options_.shared_eval_cache != nullptr ? options_.shared_eval_cache
-                                              : striped_owned.get();
-    std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
-    std::vector<ShardOutcome> out(shards.size());
-    RunShards(shards.size(), [&](std::size_t s) {
-      ShardOutcome& o = out[s];
-      TrieJoinContext ctx(substrate, &o.stats);
-      // Deterministic emission: buffer the shard's tuples, drain in shard
-      // order below. Buffered tuples draw on the same run-wide
-      // materialization budget as the shards' intermediate entries, so
-      // parallel evaluation keeps one bounded footprint overall.
-      const TupleCallback buffer = [&o, &worker_limits, abort,
+    MorselRun mr(substrate, EffectiveThreads(options_.threads), limits,
+                 timer);
+    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
+    StripedCacheManager<FactorizedSetPtr>* shared = SharedTable(
+        options_.shared_eval_cache, mr.workers, options_.cache, plan, &owned);
+    std::atomic<std::uint64_t> materialized{0};  // run-wide, all workers
+    RunWorkers(mr.workers, [&] {
+      ExecStats sink;
+      TrieJoinContext ctx(substrate, &sink);
+      // Deterministic emission: buffer each morsel's tuples, drain in
+      // morsel order below. Buffered tuples draw on the same run-wide
+      // materialization budget as the intermediate entries, so parallel
+      // evaluation keeps one bounded footprint overall.
+      MorselOutcome* current = nullptr;
+      const std::uint64_t budget = mr.worker_limits.max_intermediate_tuples;
+      const TupleCallback buffer = [&current, budget, &mr,
                                     &materialized](const Tuple& t) {
-        if (worker_limits.max_intermediate_tuples > 0 &&
+        if (budget > 0 &&
             materialized.fetch_add(1, std::memory_order_relaxed) + 1 >
-                worker_limits.max_intermediate_tuples) {
-          if (!o.out_of_memory) {
-            o.out_of_memory = true;
-            abort->Trip(RunStatus::kOutOfMemory);
+                budget) {
+          if (!current->out_of_memory) {
+            current->out_of_memory = true;
+            mr.abort->Trip(RunStatus::kOutOfMemory);
           }
           return;
         }
-        o.tuples.push_back(t);
+        current->tuples.push_back(t);
       };
-      EvalRun run(plan, setup.cache, &ctx, &o.stats, buffer, worker_limits,
-                  /*expand_at_leaf=*/true, shards[s], abort, &materialized,
-                  striped);
-      run.Run();
-      o.timed_out = run.timed_out();
-      o.out_of_memory |= run.out_of_memory();
+      EvalRun run(plan, options_.cache, &ctx, &sink, buffer,
+                  mr.worker_limits, /*expand_at_leaf=*/true, mr.abort,
+                  &materialized, shared);
+      mr.Drain(&sink, [&](MorselOutcome* o, std::size_t m) {
+        current = o;
+        run.Run(mr.morsels[m]);
+        o->count = o->tuples.size();
+        o->timed_out = run.timed_out();
+        o->out_of_memory |= run.out_of_memory();
+        return !o->timed_out && !o->out_of_memory;
+      });
     });
 
-    bool any_timed_out = false;
-    bool any_oom = false;
-    std::vector<ExecStats> stats;
-    stats.reserve(out.size());
-    for (ShardOutcome& o : out) {
-      any_timed_out |= o.timed_out;
-      any_oom |= o.out_of_memory;
-      stats.push_back(o.stats);
-    }
-    MergeShardStats(&result.stats, stats);
-    if (striped_owned != nullptr) {
-      result.stats.Merge(striped_owned->AggregatedStats());
-    }
-    result.SetStatus(MergeRunStatus(any_timed_out, any_oom, abort));
-    // Drain buffers in shard order — ascending first-variable intervals, so
-    // the stream is the same for every run at this thread count (its
-    // interleaving may differ from the single-thread stream; see the class
-    // comment). On a failed run this is a partial prefix-per-shard result,
+    mr.Merge(&result);
+    if (owned != nullptr) result.stats.Merge(owned->AggregatedStats());
+    // Drain buffers in morsel order — ascending first-variable intervals.
+    // On a failed run this is a partial prefix-per-morsel result,
     // mirroring the partial emission of a timed-out single-thread run.
-    for (ShardOutcome& o : out) {
-      for (Tuple& t : o.tuples) {
-        ++result.count;
-        cb(t);
-      }
-      o.tuples.clear();
+    for (MorselOutcome& o : mr.out) {
+      for (const Tuple& t : o.tuples) cb(t);
+      o.tuples = {};
     }
   }
   result.stats.output_tuples = result.count;
@@ -359,10 +336,10 @@ std::optional<FactorizedQueryResult> ShardedCachedTrieJoin::EvaluateFactorized(
   *run = RunResult();
   Timer timer;
   // A prepared plan is shared and immutable — copy it before the maintain
-  // fill mutates it. The shared striped caches are NOT consulted here:
+  // fill mutates it. The injected striped caches are NOT consulted here:
   // maintain-everything runs build different factorized sets than
   // plan-default runs, so their payloads must not mix (a run-owned striped
-  // table per MaybeStriped is still fine — it dies with the run).
+  // table is still fine — it dies with the run).
   auto plan = options_.prepared_plan != nullptr
                   ? std::make_shared<CachedPlan>(*options_.prepared_plan)
                   : std::make_shared<CachedPlan>(CachedPlan::Resolve(
@@ -379,55 +356,38 @@ std::optional<FactorizedQueryResult> ShardedCachedTrieJoin::EvaluateFactorized(
   auto root = std::make_shared<FactorizedSet>();
   root->node = plan->root;
   if (!substrate.HasEmptyAtom()) {
-    const ShardSetup setup =
-        PrepareShards(substrate, EffectiveThreads(), options_.cache);
-    const std::vector<FirstVarRange>& shards = setup.shards;
-    const RunLimits worker_limits = RemainingLimits(limits, timer);
-
-    struct ShardOutcome {
-      std::shared_ptr<FactorizedSet> root;
-      ExecStats stats;
-      bool timed_out = false;
-      bool out_of_memory = false;
-    };
-    AbortFlag local_abort;
-    AbortFlag* abort = SharedAbort(limits, &local_abort);
-    const auto striped =
-        MaybeStriped<FactorizedSetPtr>(options_.cache, *plan, shards.size());
-    std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
-    std::vector<ShardOutcome> out(shards.size());
+    MorselRun mr(substrate, EffectiveThreads(options_.threads), limits,
+                 timer);
+    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
+    StripedCacheManager<FactorizedSetPtr>* shared =
+        SharedTable<FactorizedSetPtr>(nullptr, mr.workers, options_.cache,
+                                      *plan, &owned);
+    std::atomic<std::uint64_t> materialized{0};  // run-wide, all workers
     const TupleCallback noop = [](const Tuple&) {};
-    RunShards(shards.size(), [&](std::size_t s) {
-      ShardOutcome& o = out[s];
-      TrieJoinContext ctx(substrate, &o.stats);
-      EvalRun eval(*plan, setup.cache, &ctx, &o.stats, noop, worker_limits,
-                   /*expand_at_leaf=*/false, shards[s], abort,
-                   &materialized, striped.get());
-      eval.Run();
-      o.timed_out = eval.timed_out();
-      o.out_of_memory = eval.out_of_memory();
-      if (!o.timed_out && !o.out_of_memory) o.root = eval.TakeRootSet();
+    RunWorkers(mr.workers, [&] {
+      ExecStats sink;
+      TrieJoinContext ctx(substrate, &sink);
+      EvalRun eval(*plan, options_.cache, &ctx, &sink, noop, mr.worker_limits,
+                   /*expand_at_leaf=*/false, mr.abort, &materialized, shared);
+      mr.Drain(&sink, [&](MorselOutcome* o, std::size_t m) {
+        eval.Run(mr.morsels[m]);
+        o->timed_out = eval.timed_out();
+        o->out_of_memory = eval.out_of_memory();
+        if (o->timed_out || o->out_of_memory) return false;
+        o->root = eval.TakeRootSet();
+        return true;
+      });
     });
 
-    bool any_timed_out = false;
-    bool any_oom = false;
-    std::vector<ExecStats> stats;
-    stats.reserve(out.size());
-    for (const ShardOutcome& o : out) {
-      any_timed_out |= o.timed_out;
-      any_oom |= o.out_of_memory;
-      stats.push_back(o.stats);
-    }
-    MergeShardStats(&run->stats, stats);
-    if (striped != nullptr) run->stats.Merge(striped->AggregatedStats());
-    run->SetStatus(MergeRunStatus(any_timed_out, any_oom, abort));
+    mr.Merge(run);
+    if (owned != nullptr) run->stats.Merge(owned->AggregatedStats());
     if (run->ok()) {
-      // Concatenate shard roots in shard order: ascending contiguous
+      // Concatenate morsel roots in morsel order: ascending contiguous
       // first-variable intervals reproduce the sequential entry order.
       std::size_t total = 0;
-      for (const ShardOutcome& o : out) total += o.root->entries.size();
+      for (const MorselOutcome& o : mr.out) total += o.root->entries.size();
       root->entries.reserve(total);
-      for (ShardOutcome& o : out) {
+      for (MorselOutcome& o : mr.out) {
         std::move(o.root->entries.begin(), o.root->entries.end(),
                   std::back_inserter(root->entries));
         o.root = nullptr;

@@ -39,10 +39,10 @@ QueryService::QueryService(const Database& db, Database* mutable_db,
   const int workers = std::max(1, options_.workers);
   if (options_.reuse.enabled) {
     // Stripe the persistent caches for the worst-case prober count: every
-    // worker may run a CLFTJ-P request whose shards all touch the shape's
+    // worker may run a CLFTJ-P request whose threads all touch the shape's
     // shared table concurrently.
     const int probers =
-        workers * std::max(1, options_.engine_options.threads);
+        workers * EffectiveThreads(options_.engine_options.threads);
     reuse_ = std::make_unique<CrossQueryReuse>(
         options_.reuse, PlannerOptions{}, options_.engine_options.cache,
         probers);
@@ -411,7 +411,7 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
           std::string engine_name = first.request.engine;
           if (group.size() >= 2 && engine_name == "CLFTJ" &&
               first.request.mode == "count") {
-            // Fan the shared run across shards: N requests' worth of work
+            // Fan the shared run across workers: N requests' worth of work
             // funneled into one run earns the parallel engine. Counts are
             // bit-identical at any thread count (the PR 2 guarantee); eval
             // is never escalated because the sharded tuple stream is only

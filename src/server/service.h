@@ -129,6 +129,10 @@ class QueryService {
   /// immediately without occupying a queue slot.
   std::future<QueryResponse> Submit(const QueryRequest& request);
 
+  /// The cross-query reuse layer (null when reuse is off), for callers that
+  /// inspect the persistent caches, e.g. their stripe sizing.
+  CrossQueryReuse* reuse() { return reuse_.get(); }
+
   /// Submit + wait: the synchronous serving path.
   QueryResponse Execute(const QueryRequest& request);
 

@@ -51,13 +51,12 @@ void Usage() {
       "                         either way, see docs/simd.md)\n"
       "  --timeout <seconds>    wall-clock budget (default unlimited)\n"
       "  --threads <n>          CLFTJ-P worker count (default: all hardware\n"
-      "                         threads; shards the first variable's domain)\n"
+      "                         threads; workers pull small morsels of the\n"
+      "                         first variable's domain and share one\n"
+      "                         striped cache table; 1 = sequential CLFTJ)\n"
       "  --cache-capacity <n>   bound CLFTJ's cache entries (default unbounded)\n"
       "  --cache-bytes <n>      bound CLFTJ's cache payload bytes instead\n"
-      "  --cache-sharing <m>    CLFTJ-P cache placement: private (capacity/K\n"
-      "                         per shard, no cross-shard reuse) or striped\n"
-      "                         (one lock-striped shared table, global budget)\n"
-      "  --cache-stripes <n>    stripe count for --cache-sharing=striped\n"
+      "  --cache-stripes <n>    stripe count of CLFTJ-P's shared table\n"
       "                         (default: picked from the worker count)\n"
       "  --support-threshold <n> CLFTJ admission: min value support\n"
       "  --max-rows <n>         materialization budget for YTD/PairwiseHJ\n"
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::uint64_t cache_capacity = 0;
   std::uint64_t cache_bytes = 0;
-  std::string cache_sharing = "private";
   int cache_stripes = 0;
   std::uint64_t support_threshold = 0;
   std::uint64_t max_rows = 0;
@@ -182,8 +180,6 @@ int main(int argc, char** argv) {
       cache_capacity = std::stoull(next());
     } else if (arg == "--cache-bytes") {
       cache_bytes = std::stoull(next());
-    } else if (arg == "--cache-sharing") {
-      cache_sharing = next();
     } else if (arg == "--cache-stripes") {
       cache_stripes = std::stoi(next());
     } else if (arg == "--support-threshold") {
@@ -315,13 +311,6 @@ int main(int argc, char** argv) {
         clftj::CacheOptions::Admission::kSupportThreshold;
     engine_options.cache.support_threshold = support_threshold;
   }
-  if (cache_sharing == "striped") {
-    engine_options.cache.sharing = clftj::CacheOptions::Sharing::kStriped;
-  } else if (cache_sharing != "private") {
-    std::cerr << "unknown --cache-sharing mode: " << cache_sharing
-              << " (expected private or striped)\n";
-    return 2;
-  }
 
   if (!clftj::IsKnownEngine(engine_name)) {
     std::cerr << "unknown engine: " << engine_name << "\n";
@@ -349,7 +338,7 @@ int main(int argc, char** argv) {
   if (repeat > 1 && (engine_name == "CLFTJ" || engine_name == "CLFTJ-P")) {
     reuse = std::make_unique<clftj::CrossQueryReuse>(
         clftj::ReuseOptions{}, clftj::PlannerOptions{}, engine_options.cache,
-        std::max(1, threads));
+        clftj::EffectiveThreads(threads));
   }
 
   clftj::RunResult result;

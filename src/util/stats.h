@@ -64,9 +64,7 @@ struct ExecStats {
   void Reset() { *this = ExecStats(); }
 
   /// Merges counters from another run (peaks are max-merged: right for
-  /// sequential reuse of one cache). Parallel shards whose private caches
-  /// coexist must instead *sum* per-shard peaks — ShardedCachedTrieJoin
-  /// does that explicitly after merging.
+  /// sequential reuse of one cache).
   void Merge(const ExecStats& other);
 
   /// Human-readable one-line summary for logs and benches.

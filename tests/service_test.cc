@@ -67,6 +67,30 @@ TEST(QueryService, EveryEngineServesTheSameCount) {
   }
 }
 
+TEST(QueryService, PersistentCacheStripesCoverEveryProber) {
+  // threads = 0 means one CLFTJ-P worker per hardware thread, so 4 service
+  // workers can bring 4 x hardware_concurrency probers to one shape's
+  // table; the stripes are sized for that, not for 4 x 1 (which would give
+  // 32 instead of the 64 cap on a 4-thread host).
+  const Database db = testing::SmallSkewedDb(11);
+  ServiceOptions options;
+  options.workers = 4;
+  ASSERT_EQ(options.engine_options.threads, 0);
+  QueryService service(db, options);
+  ASSERT_NE(service.reuse(), nullptr);
+  const CrossQueryReuse::Prepared prepared =
+      service.reuse()->Prepare(testing::Q(kTriangle), db, nullptr);
+  ASSERT_NE(prepared.caches, nullptr);
+  const int probers = 4 * EffectiveThreads(0);
+  int want = 1;
+  while (want < 8 * probers && want < 64) want <<= 1;
+  EXPECT_EQ(prepared.caches->count.stripe_count(), want);
+  EXPECT_EQ(prepared.caches->eval.stripe_count(), want);
+  if (EffectiveThreads(0) >= 2) {
+    EXPECT_EQ(prepared.caches->count.stripe_count(), 64);
+  }
+}
+
 TEST(QueryService, BadQueryNeverOccupiesAQueueSlot) {
   const Database db = testing::SmallSkewedDb(5);
   QueryService service(db, ServiceOptions{});

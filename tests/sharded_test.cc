@@ -1,9 +1,10 @@
-// Differential and failure-propagation tests for CLFTJ-P, the parallel
-// sharded executor: at every thread count the sharded run must reproduce
-// single-thread CLFTJ bit for bit — counts, emission order, and factorized
-// structure — and a limit hit in any worker must stop and be reported by
-// the whole run. Also exercises the re-entrant run states directly
-// (FirstVarRange shard arithmetic over one shared plan/substrate).
+// Differential and failure-propagation tests for CLFTJ-P, the morsel-driven
+// parallel executor: at every thread count the parallel run must reproduce
+// single-thread CLFTJ — counts, tuple sets and factorized results, and at
+// one thread the counters too — and a limit hit in any worker must stop
+// and be reported by the whole run within one deadline window. Also
+// exercises the re-entrant run states directly (FirstVarRange morsel
+// arithmetic over one shared plan/substrate).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "clftj/cached_trie_join.h"
+#include "data/snap_profiles.h"
 #include "engine/sharded.h"
 #include "query/patterns.h"
 #include "tests/test_util.h"
@@ -71,16 +73,21 @@ TEST_P(ShardedDifferentialTest, CountsMatchAtAllThreadCounts) {
     EXPECT_EQ(got.count, anchor.count)
         << inst.query.ToString() << " threads=" << threads;
     EXPECT_TRUE(got.ok());
+    if (threads == 1) {
+      // One worker is the sequential run: every counter is identical.
+      EXPECT_EQ(got.stats.ToWire(), anchor.stats.ToWire())
+          << inst.query.ToString();
+    }
   }
 }
 
 TEST_P(ShardedDifferentialTest, TupleSetsMatchAtAllThreadCounts) {
   const Instance inst = MakeInstance(GetParam());
   CachedTrieJoin single;
-  // Raw emission order is reproducible only at one shard: cache hits expand
+  // Raw emission order is reproducible only at one worker: cache hits expand
   // skipped subtrees at the emission point, so the interleaving depends on
-  // the hit pattern, and private shard caches hit differently than the one
-  // shared cache. The result *set* is identical at every thread count.
+  // the hit pattern, and with several workers who hits depends on who
+  // inserted first. The result *set* is identical at every thread count.
   const std::vector<Tuple> raw_anchor = RawTuples(single, inst.query, inst.db);
   ShardedCachedTrieJoin one_shard = MakeSharded(1);
   EXPECT_EQ(RawTuples(one_shard, inst.query, inst.db), raw_anchor)
@@ -109,8 +116,8 @@ TEST_P(ShardedDifferentialTest, FactorizedResultMatchesSingleThread) {
     EXPECT_EQ(got->Count(), anchor->Count()) << "threads=" << threads;
     // The flat expansion must agree tuple for tuple in enumeration order.
     // NumEntries is *not* compared: it counts distinct shared sets, and
-    // sub-structure sharing follows the cache hit pattern, which private
-    // shard caches legitimately change.
+    // sub-structure sharing follows the cache hit pattern, which concurrent
+    // workers legitimately change.
     std::vector<Tuple> anchor_tuples;
     anchor->Enumerate([&](const Tuple& t) { anchor_tuples.push_back(t); });
     std::vector<Tuple> got_tuples;
@@ -122,17 +129,25 @@ TEST_P(ShardedDifferentialTest, FactorizedResultMatchesSingleThread) {
 }
 
 TEST_P(ShardedDifferentialTest, BoundedPrivateCachesStayCorrect) {
+  // "Private" as in run-owned: each run builds its own bounded striped
+  // table (no injected persistent one), which all its workers share under
+  // the one global budget — 16 entries spread over the stripes, so every
+  // stripe evicts constantly.
   const Instance inst = MakeInstance(GetParam());
   CacheOptions cache;
-  cache.capacity = 16;  // split to 16/K per shard
+  cache.capacity = 16;
   CachedTrieJoin::Options single_options;
   single_options.cache = cache;
   CachedTrieJoin single(single_options);
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
     ShardedCachedTrieJoin parallel = MakeSharded(threads, cache);
-    EXPECT_EQ(parallel.Count(inst.query, inst.db, {}).count, anchor)
+    const RunResult got = parallel.Count(inst.query, inst.db, {});
+    EXPECT_EQ(got.count, anchor)
         << inst.query.ToString() << " threads=" << threads;
+    EXPECT_LE(got.stats.cache_entries_peak, cache.capacity)
+        << "the shared table's stripe peaks must stay within the one "
+           "global budget, threads=" << threads;
   }
 }
 
@@ -141,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferentialTest,
 
 TEST(Sharded, DomainSmallerThanThreadCount) {
   // Three edges — the first variable's depth-0 intersection has at most 3
-  // values, so 8 requested workers collapse to <= 3 shards.
+  // values, so 8 requested workers collapse to <= 3 one-value morsels.
   Relation e("E", 2);
   e.AddPair(1, 2);
   e.AddPair(2, 3);
@@ -160,7 +175,7 @@ TEST(Sharded, DomainSmallerThanThreadCount) {
 
 TEST(Sharded, EmptyResultAndEmptyIntersection) {
   // E has tuples but no (y,x) partner: the depth-0 intersection of the
-  // triangle-closing pair is empty, so MakeShards finds nothing to run.
+  // triangle-closing pair is empty, so every morsel finds nothing.
   Relation e("E", 2);
   e.AddPair(1, 2);
   e.AddPair(3, 4);
@@ -179,9 +194,10 @@ TEST(Sharded, EmptyResultAndEmptyIntersection) {
 
 TEST(Sharded, EmptyShardRangeYieldsNothing) {
   // Drives the re-entrant run state directly over a shared plan and
-  // substrate: a shard whose value interval contains no first-variable
-  // value must contribute zero, and disjoint shard ranges must partition
-  // the full count.
+  // substrate: a morsel whose value interval contains no first-variable
+  // value must contribute zero, and disjoint ranges must partition the
+  // full count — also when one run state runs them in turn, as a
+  // CLFTJ-P worker does.
   Database db = testing::SmallSkewedDb(7);
   const Query q = Q("E(x,y), E(y,z)");
   const CachedPlan plan =
@@ -192,8 +208,8 @@ TEST(Sharded, EmptyShardRangeYieldsNothing) {
   ExecStats stats;
   auto count_range = [&](const FirstVarRange& range) {
     TrieJoinContext ctx(substrate, &stats);
-    CountRun run(plan, CacheOptions{}, &ctx, &stats, RunLimits{}, range);
-    return run.Run();
+    CountRun run(plan, CacheOptions{}, &ctx, &stats, RunLimits{});
+    return run.Run(range);
   };
 
   const std::uint64_t all = count_range(FirstVarRange{});
@@ -208,6 +224,12 @@ TEST(Sharded, EmptyShardRangeYieldsNothing) {
   low.hi = 30;  // split the node-id domain at an arbitrary boundary
   high.lo = 30;
   EXPECT_EQ(count_range(low) + count_range(high), all);
+
+  TrieJoinContext ctx(substrate, &stats);
+  CountRun reused(plan, CacheOptions{}, &ctx, &stats, RunLimits{});
+  const std::uint64_t low_count = reused.Run(low);
+  EXPECT_EQ(reused.Run(empty), 0u);
+  EXPECT_EQ(low_count + reused.Run(high), all);
 }
 
 TEST(Sharded, TimeoutPropagatesToAllWorkers) {
@@ -251,25 +273,200 @@ TEST(Sharded, EvaluateBufferRespectsMaterializationBudget) {
 }
 
 TEST(Sharded, MemoryAccessSumIsReportedAndSane) {
-  Instance inst{Q("E(x,y), E(y,z), E(x,z)"), testing::SmallSkewedDb(42)};
-  CacheOptions no_cache;
-  no_cache.enabled = false;
-  CachedTrieJoin::Options nocache_options;
-  nocache_options.cache = no_cache;
-  CachedTrieJoin nocache_single(nocache_options);
-  const std::uint64_t nocache_accesses =
-      nocache_single.Count(inst.query, inst.db, {}).stats.memory_accesses;
+  // The wiki-Vote 5-cycle, the reference query of the parallel benches.
+  // All workers share one striped table, so a subtree computed for any
+  // morsel is a hit for every other: the summed accesses stay within a few
+  // percent of the serial run (per-morsel depth-0 seeks plus the subtrees
+  // two workers race to compute), not K times it.
+  const Database db = MakeSnapDatabase(SnapProfileByLabel("wiki-Vote"));
+  const Query q = CycleQuery(5);
+  CachedTrieJoin single;
+  const RunResult anchor = single.Count(q, db, {});
+  ASSERT_TRUE(anchor.ok());
 
-  const int threads = 4;
-  ShardedCachedTrieJoin parallel = MakeSharded(threads);
-  const RunResult got = parallel.Count(inst.query, inst.db, {});
-  const std::uint64_t sum = got.stats.memory_accesses;
-  EXPECT_GT(sum, 0u);
-  // Private caches duplicate work the shared cache would have skipped, but
-  // each shard's traversal is a sub-range of the cache-free traversal plus
-  // bounded probe overhead: the sum can never blow past K cache-free runs.
-  EXPECT_LE(sum, 3 * static_cast<std::uint64_t>(threads) * nocache_accesses +
-                     1000u);
+  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  const RunResult got = parallel.Count(q, db, {});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.count, anchor.count);
+  EXPECT_GT(got.stats.memory_accesses, 0u);
+  EXPECT_LE(static_cast<double>(got.stats.memory_accesses),
+            1.1 * static_cast<double>(anchor.stats.memory_accesses))
+      << "serial " << anchor.stats.memory_accesses;
+}
+
+// --- Morsel scheduling ------------------------------------------------------
+
+// A hub graph: value 0 is linked both ways to every other node, and the
+// rest form a sparse ring — the skew that static equal-count shards handed
+// to a single worker.
+Database HubDb(int spokes) {
+  Relation e("E", 2);
+  for (Value v = 1; v <= static_cast<Value>(spokes); ++v) {
+    e.AddPair(0, v);
+    e.AddPair(v, 0);
+    const Value next = v % static_cast<Value>(spokes) + 1;
+    e.AddPair(v, next);
+  }
+  Database db;
+  db.Put(std::move(e));
+  return db;
+}
+
+TEST(Morsels, SkewedDomainMatchesSerialAndReference) {
+  // The 3-star puts its centre at depth 0, where the hub's one value
+  // carries most of the output; the 4-cycle spreads it over positions.
+  const Database db = HubDb(40);
+  for (const Query& q : {Q("E(x,y), E(x,z), E(x,w)"), CycleQuery(4)}) {
+    const CachedPlan plan =
+        CachedPlan::Resolve(q, db, std::nullopt, {}, CacheOptions{});
+    const TrieJoinSubstrate substrate(q, db, plan.order);
+    ExecStats stats;
+    TrieJoinContext ctx(substrate, &stats);
+    CountRun run(plan, CacheOptions{}, &ctx, &stats, RunLimits{});
+    FirstVarRange hub;
+    hub.has_hi = true;
+    hub.hi = 1;
+    const std::uint64_t hub_count = run.Run(hub);
+
+    CachedTrieJoin single;
+    const std::uint64_t anchor = single.Count(q, db, {}).count;
+    ASSERT_EQ(anchor, testing::ReferenceCount(q, db)) << q.ToString();
+    if (q.num_atoms() == 3) {
+      ASSERT_GT(2 * hub_count, anchor)
+          << "the hub value must hold most of the output: " << q.ToString();
+    }
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      ShardedCachedTrieJoin parallel = MakeSharded(threads);
+      const RunResult got = parallel.Count(q, db, {});
+      EXPECT_TRUE(got.ok());
+      EXPECT_EQ(got.count, anchor)
+          << q.ToString() << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Morsels, DomainSmallerThanMorselCount) {
+  // 20 depth-0 values at 4 threads: fewer values than the 64 morsels the
+  // workers would pull, so every morsel holds a single value.
+  Relation e("E", 2);
+  for (Value v = 0; v < 20; ++v) {
+    e.AddPair(v, (v + 1) % 20);
+    e.AddPair(v, (v + 3) % 20);
+  }
+  Database db;
+  db.Put(std::move(e));
+  const Query q = Q("E(x,y), E(y,z)");
+  CachedTrieJoin single;
+  const std::uint64_t anchor = single.Count(q, db, {}).count;
+  EXPECT_EQ(anchor, 80u);  // 20 starts x 2 x 2
+  for (const int threads : {2, 4, 8}) {
+    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    const RunResult got = parallel.Count(q, db, {});
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(got.count, anchor) << "threads=" << threads;
+    EXPECT_EQ(CollectTuples(parallel, q, db), CollectTuples(single, q, db))
+        << "threads=" << threads;
+  }
+}
+
+TEST(Morsels, TwoTierViewWithEmptyMainTier) {
+  // Every tuple lives in the delta's add tier: the main tier the morsels
+  // are cut from is empty, so the run falls back to one unbounded morsel.
+  Relation e("E", 2);
+  e.Normalize();
+  e.set_compaction_threshold(1000);
+  e.ApplyDelta({{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}}, {});
+  ASSERT_EQ(e.main_size(), 0u);
+  ASSERT_TRUE(e.has_delta());
+  Database db;
+  db.Put(std::move(e));
+  const Query q = Q("E(x,y), E(y,z), E(z,x)");
+  CachedTrieJoin single;
+  const std::uint64_t anchor = single.Count(q, db, {}).count;
+  EXPECT_EQ(anchor, testing::ReferenceCount(q, db));
+  EXPECT_GT(anchor, 0u);
+  for (const int threads : {2, 4}) {
+    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    const RunResult got = parallel.Count(q, db, {});
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(got.count, anchor) << "threads=" << threads;
+  }
+}
+
+TEST(Morsels, FactorizedRootsConcatenateInMorselOrder) {
+  // The root node is never cached, so its entries — one per root-bag
+  // assignment with a non-empty product — are the same list at every
+  // thread count, in ascending first-variable order.
+  const Database db =
+      testing::SmallSkewedDb(5, /*nodes=*/90, /*edges_per_node=*/4);
+  const Query q = CycleQuery(4);
+  CachedTrieJoin single;
+  RunResult single_run;
+  const auto anchor = single.EvaluateFactorized(q, db, {}, &single_run);
+  ASSERT_TRUE(anchor.has_value());
+  const auto locals = [](const FactorizedQueryResult& r) {
+    std::vector<std::vector<Value>> out;
+    for (const FactorizedEntry& entry : r.root().entries) {
+      out.push_back(entry.local);
+    }
+    return out;
+  };
+  const std::vector<std::vector<Value>> want = locals(*anchor);
+  ASSERT_GT(want.size(), 1u);
+  EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+  for (const int threads : {2, 4, 8}) {
+    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    RunResult run;
+    const auto got = parallel.EvaluateFactorized(q, db, {}, &run);
+    ASSERT_TRUE(got.has_value()) << "threads=" << threads;
+    EXPECT_EQ(locals(*got), want) << "threads=" << threads;
+    EXPECT_EQ(got->Count(), anchor->Count()) << "threads=" << threads;
+  }
+}
+
+TEST(Morsels, TimeoutCoversTheWholeRunNotEachMorsel) {
+  // Cache off over a near-regular graph: the work spreads evenly over the
+  // 64 morsels (~9 s serial on a 4-vCPU host, ~0.15 s a morsel), so the
+  // run far outlasts the 0.5 s budget while no single morsel comes near
+  // it. A run that restarted the timer per morsel would finish with kOk
+  // after several budgets; one deadline window stops within the budget
+  // plus a stride. The plan is resolved up front so the timed run is the
+  // join.
+  Database db;
+  db.Put(NearRegularGraph("E", 2000, 16000, /*seed=*/9));
+  const Query q = CycleQuery(5);
+  ShardedCachedTrieJoin::Options options;
+  options.threads = 4;
+  options.cache.enabled = false;
+  options.prepared_plan = std::make_shared<const CachedPlan>(
+      CachedPlan::Resolve(q, db, std::nullopt, {}, options.cache));
+  RunLimits limits;
+  limits.timeout_seconds = 0.5;
+  ShardedCachedTrieJoin parallel(options);
+  const RunResult got = parallel.Count(q, db, limits);
+  EXPECT_EQ(got.status, RunStatus::kTimeout);
+  EXPECT_LT(got.seconds, limits.timeout_seconds + 0.5);
+}
+
+TEST(Morsels, PreTrippedCancelRunsNoMorsel) {
+  Database db = testing::SmallSkewedDb(3, /*nodes=*/80, /*edges_per_node=*/4);
+  const Query q = CycleQuery(4);
+  AbortFlag cancel;
+  cancel.Trip(RunStatus::kCancelled);
+  RunLimits limits;
+  limits.cancel = &cancel;
+  for (const int threads : {2, 4}) {
+    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    const RunResult got = parallel.Count(q, db, limits);
+    EXPECT_EQ(got.status, RunStatus::kCancelled) << "threads=" << threads;
+    EXPECT_EQ(got.count, 0u);
+    EXPECT_EQ(got.stats.memory_accesses, 0u)
+        << "a cancelled run must not start any morsel";
+    RunResult run;
+    EXPECT_FALSE(parallel.EvaluateFactorized(q, db, limits, &run).has_value());
+    EXPECT_EQ(run.status, RunStatus::kCancelled);
+    EXPECT_EQ(run.stats.memory_accesses, 0u);
+  }
 }
 
 }  // namespace

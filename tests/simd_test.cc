@@ -398,7 +398,12 @@ void ExpectStatsIdentical(const ExecStats& a, const ExecStats& b) {
 
 // Full-engine bit-identity: same tuples, same deterministic counters,
 // whichever dispatch arm runs — across engines, thread counts, and a
-// post-delta (merged 3-cursor overlay) pass.
+// post-delta (merged 3-cursor overlay) pass. CLFTJ-P at two or more
+// threads shares one cache table among its workers, so its hit/miss split
+// (and with it every traversal counter) depends on thread timing even on
+// one arm; for those configurations the tuples and result counts are
+// compared, and the counters through the one-thread configuration, which
+// runs the same run-state code.
 TEST(SimdDispatch, EnginesBitIdenticalAcrossArms) {
   if (!simd::Avx2Available()) GTEST_SKIP() << "AVX2 arm unavailable";
   DispatchGuard guard;
@@ -435,6 +440,11 @@ TEST(SimdDispatch, EnginesBitIdenticalAcrossArms) {
       warm[arm] = r.stats;
     }
     EXPECT_EQ(tuples[0], tuples[1]);
+    if (config.threads >= 2) {
+      EXPECT_EQ(cold[0].output_tuples, cold[1].output_tuples);
+      EXPECT_EQ(warm[0].output_tuples, warm[1].output_tuples);
+      continue;
+    }
     ExpectStatsIdentical(cold[0], cold[1]);
     ExpectStatsIdentical(warm[0], warm[1]);
   }

@@ -30,11 +30,17 @@ namespace {
 using clftj::testing::CollectTuples;
 using clftj::testing::Q;
 
-// One engine configuration of the differential matrix.
+// One engine configuration of the differential matrix. CLFTJ-P at two or
+// more threads shares one cache table among its workers, so which worker
+// hits a subtree another computed depends on thread timing: its counters
+// vary from run to run even on identical data, and only its counts and
+// tuples are compared. Every other configuration's counters are
+// deterministic and must be bit-identical across the twins.
 struct EngineConfig {
   std::string label;
   std::string name;
   int threads = 0;
+  bool deterministic_stats = true;
 };
 
 std::vector<EngineConfig> Engines() {
@@ -44,8 +50,8 @@ std::vector<EngineConfig> Engines() {
       {"LFTJ", "LFTJ", 0},
       {"CLFTJ", "CLFTJ", 0},
       {"CLFTJ-P/1", "CLFTJ-P", 1},
-      {"CLFTJ-P/2", "CLFTJ-P", 2},
-      {"CLFTJ-P/8", "CLFTJ-P", 8},
+      {"CLFTJ-P/2", "CLFTJ-P", 2, /*deterministic_stats=*/false},
+      {"CLFTJ-P/8", "CLFTJ-P", 8, /*deterministic_stats=*/false},
   };
 }
 
@@ -58,10 +64,12 @@ std::unique_ptr<JoinEngine> Make(const EngineConfig& cfg) {
 }
 
 void ExpectStatsIdentical(const ExecStats& a, const ExecStats& b,
+                          const EngineConfig& cfg,
                           const std::string& context) {
+  EXPECT_EQ(a.output_tuples, b.output_tuples) << context;
+  if (!cfg.deterministic_stats) return;
   EXPECT_EQ(a.memory_accesses, b.memory_accesses) << context;
   EXPECT_EQ(a.intermediate_tuples, b.intermediate_tuples) << context;
-  EXPECT_EQ(a.output_tuples, b.output_tuples) << context;
   EXPECT_EQ(a.cache_hits, b.cache_hits) << context;
   EXPECT_EQ(a.cache_misses, b.cache_misses) << context;
   EXPECT_EQ(a.cache_inserts, b.cache_inserts) << context;
@@ -125,7 +133,7 @@ TEST_F(StringWorkloadDifferential, AllEnginesCountersAndTuplesIdentical) {
       const RunResult rs = on_strings->Count(q, string_db_, {});
       const RunResult ri = on_ints->Count(q, remapped_db_, {});
       EXPECT_EQ(rs.count, ri.count) << context;
-      ExpectStatsIdentical(rs.stats, ri.stats, context);
+      ExpectStatsIdentical(rs.stats, ri.stats, cfg, context);
 
       auto eval_strings = Make(cfg);
       auto eval_ints = Make(cfg);
@@ -257,7 +265,7 @@ TEST(StringWorkloadMixed, MixedTypeColumnsDifferentialAndVariableTypes) {
     const RunResult rs = on_strings->Count(q, string_db, {});
     const RunResult ri = on_ints->Count(q, remapped_db, {});
     EXPECT_EQ(rs.count, ri.count) << cfg.label;
-    ExpectStatsIdentical(rs.stats, ri.stats, cfg.label);
+    ExpectStatsIdentical(rs.stats, ri.stats, cfg, cfg.label);
     auto eval_strings = Make(cfg);
     auto eval_ints = Make(cfg);
     EXPECT_EQ(CollectTuples(*eval_strings, q, string_db),

@@ -1,12 +1,12 @@
-// Tests for CacheOptions::Sharing::kStriped — the lock-striped shared
-// cache of CLFTJ-P. Three layers:
+// Tests for StripedCacheManager — the lock-striped table every CLFTJ-P
+// worker shares. Three layers:
 //   * StripedCacheManager unit tests: stripe budget slices sum exactly to
 //     the global budget, stripe-count clamping, per-stripe eviction, and
 //     the copy-out lookup contract.
-//   * Randomized differential tests: striped CLFTJ-P must reproduce
-//     single-thread CLFTJ and private CLFTJ-P bit for bit — counts, tuple
-//     sets and factorized expansions — at 1/2/3/8 threads, unbounded and
-//     under entry/byte budgets.
+//   * Randomized differential tests: CLFTJ-P over a run-owned table and
+//     over an injected persistent table must reproduce single-thread CLFTJ
+//     bit for bit — counts, tuple sets and factorized expansions — at
+//     1/2/3/8 threads, unbounded and under entry/byte budgets.
 //   * A many-thread contention stress (the TSan target in CI): concurrent
 //     lookup/insert churn over few stripes with a deterministic
 //     key -> value function, so torn reads or lost updates surface as
@@ -43,7 +43,6 @@ PackedKey PK(const Tuple& t) {
 CacheOptions Striped(std::uint64_t capacity = 0, int stripes = 0,
                      std::uint64_t capacity_bytes = 0) {
   CacheOptions options;
-  options.sharing = CacheOptions::Sharing::kStriped;
   options.capacity = capacity;
   options.capacity_bytes = capacity_bytes;
   options.stripes = stripes;
@@ -112,11 +111,11 @@ TEST(StripedCacheManager, StripeCountClampsToTinyBudgets) {
 }
 
 TEST(StripedCacheManager, ChooseStripesPolicy) {
-  // Auto: smallest power of two >= 2x workers, in [1, 64].
+  // Auto: smallest power of two >= 8x workers, in [1, 64].
   EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 1),
-            2);
-  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 4),
             8);
+  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 4),
+            32);
   EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 48),
             64);
   // Explicit request wins, rounded up to a power of two.
@@ -187,18 +186,34 @@ ShardedCachedTrieJoin MakeSharded(int threads, CacheOptions cache) {
 class StripedDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StripedDifferentialTest, CountsMatchPrivateAndSingleThread) {
+  // Both placements a run can get: a run-private table (built and dropped
+  // by the run) and an injected persistent table that outlives it, cold on
+  // the first run and warm on the second.
   const Instance inst = MakeInstance(GetParam());
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
+  const CachedPlan plan = CachedPlan::Resolve(inst.query, inst.db,
+                                              std::nullopt, {}, Striped());
   for (const int threads : kThreadCounts) {
     ShardedCachedTrieJoin striped = MakeSharded(threads, Striped());
     const RunResult got = striped.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor)
         << inst.query.ToString() << " threads=" << threads;
     EXPECT_TRUE(got.ok());
-    ShardedCachedTrieJoin priv = MakeSharded(threads, CacheOptions{});
-    EXPECT_EQ(priv.Count(inst.query, inst.db, {}).count, anchor)
-        << inst.query.ToString() << " threads=" << threads;
+
+    StripedCacheManager<std::uint64_t> persistent(
+        static_cast<int>(plan.cacheable.size()), Striped(), threads,
+        /*hot_reads=*/true);
+    ShardedCachedTrieJoin::Options options;
+    options.threads = threads;
+    options.prepared_plan = std::make_shared<const CachedPlan>(plan);
+    options.shared_count_cache = &persistent;
+    ShardedCachedTrieJoin injected(options);
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(injected.Count(inst.query, inst.db, {}).count, anchor)
+          << inst.query.ToString() << " threads=" << threads
+          << " pass=" << pass;
+    }
   }
 }
 
@@ -286,23 +301,22 @@ TEST(StripedSharing, EntryPeakStaysWithinGlobalBudget) {
 }
 
 TEST(StripedSharing, SharedTableClosesTheMemoryAccessGap) {
-  // The whole point of kStriped: shards reuse each other's subtree results
-  // instead of recomputing them, so the summed memory accesses of a
-  // parallel run come back down toward (and must at least beat) the
-  // private-cache configuration on a cache-friendly workload.
+  // The whole point of one shared table: workers reuse each other's
+  // subtree results instead of recomputing them, so the summed memory
+  // accesses of a parallel run stay close to the serial CLFTJ run on a
+  // cache-friendly workload.
   Database db = testing::SmallSkewedDb(31, /*nodes=*/90, /*edges_per_node=*/4);
   const Query q = CycleQuery(5);
   CachedTrieJoin single;
   const RunResult anchor = single.Count(q, db, {});
   ASSERT_GT(anchor.stats.cache_hits, 0u) << "workload must exercise the cache";
 
-  const int threads = 4;
-  const RunResult priv = MakeSharded(threads, CacheOptions{}).Count(q, db, {});
-  const RunResult striped = MakeSharded(threads, Striped()).Count(q, db, {});
-  EXPECT_EQ(priv.count, anchor.count);
+  const RunResult striped = MakeSharded(4, Striped()).Count(q, db, {});
   EXPECT_EQ(striped.count, anchor.count);
-  EXPECT_LT(striped.stats.memory_accesses, priv.stats.memory_accesses)
-      << "shared striped table must beat private capacity/K caches";
+  EXPECT_LE(static_cast<double>(striped.stats.memory_accesses),
+            1.1 * static_cast<double>(anchor.stats.memory_accesses))
+      << "shared striped table must stay near serial CLFTJ ("
+      << anchor.stats.memory_accesses << ")";
 }
 
 TEST(StripedSharing, TimeoutPropagates) {
