@@ -26,7 +26,6 @@
 #include "bench/bench_util.h"
 #include "clftj/cached_trie_join.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 
 namespace clftj::bench {
@@ -83,10 +82,10 @@ void RegisterAll() {
       benchmark::RegisterBenchmark(
           bench_name.c_str(),
           [&w, cache, threads, bench_name](benchmark::State& state) {
-            ShardedCachedTrieJoin::Options options;
+            CachedTrieJoin::Options options;
             options.threads = threads;
             options.cache = cache;
-            ShardedCachedTrieJoin engine(options);
+            CachedTrieJoin engine(options, "CLFTJ-P");
             CountOnce(state, engine, w.query, SnapDb(w.profile), bench_name,
                       "CLFTJ-P threads=" + std::to_string(threads) +
                           (threads >= 2 ? " sharing=striped " : " ") +
@@ -116,9 +115,9 @@ int Gate() {
       std::this_thread::sleep_for(std::chrono::milliseconds(kSpacingMs));
     }
     CachedTrieJoin serial;
-    ShardedCachedTrieJoin::Options options;
+    CachedTrieJoin::Options options;
     options.threads = kGateThreads;
-    ShardedCachedTrieJoin parallel(options);
+    CachedTrieJoin parallel(options, "CLFTJ-P");
     // Alternate which arm runs first, so neither always takes the colder
     // slot.
     RunResult serial_run;

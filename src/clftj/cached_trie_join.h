@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,10 +20,10 @@
 namespace clftj {
 
 /// Restriction of a CLFTJ run to first-variable values in the half-open
-/// interval [lo, hi) — the morsel of the parallel executor
-/// (ShardedCachedTrieJoin cuts the first variable's domain into small
-/// ascending morsels of these). The default range covers the whole domain,
-/// which makes an unrestricted run just the 1-morsel special case.
+/// interval [lo, hi) — one morsel of a CachedTrieJoin run, which cuts the
+/// first variable's domain into small ascending morsels of these. The
+/// default range covers the whole domain, which makes an unrestricted run
+/// just the 1-morsel special case.
 struct FirstVarRange {
   Value lo = std::numeric_limits<Value>::min();
   /// When false, the range is unbounded above and `hi` is ignored.
@@ -187,62 +188,109 @@ class EvalRun {
 /// entry — any admission/eviction decision preserves correctness — so the
 /// memory footprint can be bounded dynamically.
 ///
-/// This class is the single-threaded frontend over CountRun/EvalRun; the
-/// parallel frontend over the same run states is ShardedCachedTrieJoin
-/// (engine/sharded.h).
+/// Execution is morsel-driven (after Leis et al., "Morsel-Driven
+/// Parallelism", SIGMOD 2014). One run builds the shared immutable state
+/// once — CachedPlan and TrieJoinSubstrate, both data-race-free under
+/// concurrent reads — then cuts the depth-0 domain into kMorselsPerWorker x
+/// workers small ascending value ranges (morsels). Each worker builds one
+/// CountRun/EvalRun with a private TrieJoinContext cursor and pulls morsel
+/// indices from one atomic counter until the queue drains, so a hub-heavy
+/// prefix of a power-law domain spreads over every worker. The root
+/// variable owns no cacheable state, so the split costs the cache nothing.
+/// One worker (threads == 1, or a domain too small to split) runs the one
+/// unbounded morsel on the calling thread: that is the sequential run.
+///
+/// At every worker count: the wall-clock budget is one window that opens
+/// when Count/Evaluate/EvaluateFactorized is entered (plan resolution and
+/// the trie build included); a caller-provided cancel flag that is already
+/// tripped runs no morsel; and each worker's run state lives for the whole
+/// run, so no morsel restarts the timer. A single AbortFlag — the caller's
+/// cancel handle, else a run-local one — propagates the first deadline
+/// expiry, materialization-budget hit or external cancel to every worker
+/// within one deadline stride.
+///
+/// Cache placement: with two or more workers, every worker probes and
+/// fills one StripedCacheManager — the injected persistent table when the
+/// serving loop provides one, else a run-owned table carrying the
+/// undivided CacheOptions budget — so a subtree computed for any morsel is
+/// a hit for every other. One worker uses the injected table if any, else
+/// a private unsynchronized cache.
+///
+/// Determinism: morsels are ascending value intervals and the trie
+/// enumerates ascending, so summing counts and concatenating buffered
+/// tuples and factorized root entries in morsel order reproduce the
+/// one-worker result — identical counts and tuple sets at every worker
+/// count. Stats merge per morsel in morsel order, then the run-owned
+/// table's per-stripe counters in stripe order. With two or more workers
+/// the tuple stream's interleaving and the counter values vary slightly
+/// across runs: a cache hit expands a skipped subtree at the emission
+/// point, and who hits depends on which worker inserted first.
 class CachedTrieJoin : public JoinEngine {
  public:
-  struct Options {
+  /// The engine options (worker count, cache, cross-query reuse
+  /// injection; see EngineOptions) plus an explicit plan and planner
+  /// policy. The cache options describe the *global* budget: a run-owned
+  /// striped table splits it across its stripes, never across workers.
+  /// Injected plan/substrate replace the run's own resolution/build, and
+  /// an injected striped cache (borrowed, must outlive the run) replaces
+  /// the run's own table so successive requests of one shape warm each
+  /// other. Results are identical either way.
+  struct Options : EngineOptions {
+    Options() { threads = 1; }
+
     /// Explicit plan (e.g. a hand-built TD for the Figure 11/13
     /// experiments); when absent, PlanQuery chooses one per query.
     std::optional<TdPlan> plan;
     PlannerOptions planner;
-    CacheOptions cache;
-
-    // Cross-query reuse injection (the serving loop's CrossQueryReuse).
-    // When set, the run skips its own plan resolution / trie builds and
-    // uses the shared immutable state instead; the striped cache pointers
-    // (borrowed, must outlive the run) replace the run's private cache so
-    // successive requests of the same shape warm each other. Results are
-    // identical either way.
-    std::shared_ptr<const CachedPlan> prepared_plan;
-    std::shared_ptr<const TrieJoinSubstrate> prepared_substrate;
-    StripedCacheManager<std::uint64_t>* shared_count_cache = nullptr;
-    StripedCacheManager<FactorizedSetPtr>* shared_eval_cache = nullptr;
   };
 
   CachedTrieJoin() = default;
-  explicit CachedTrieJoin(Options options) : options_(std::move(options)) {}
+  /// `name` is what name() reports: MakeEngine passes the name the engine
+  /// was asked for ("CLFTJ" or "CLFTJ-P") so labels follow the request.
+  explicit CachedTrieJoin(Options options, std::string name = "CLFTJ")
+      : options_(std::move(options)), name_(std::move(name)) {}
 
-  std::string name() const override { return "CLFTJ"; }
+  std::string name() const override { return name_; }
 
   RunResult Count(const Query& q, const Database& db,
                   const RunLimits& limits) override;
 
+  /// One worker streams tuples straight into `cb`, charging nothing to the
+  /// materialization budget for them. Two or more workers buffer each
+  /// morsel's tuples and drain the buffers through `cb` in morsel order
+  /// after the workers join; buffered tuples and intermediate entries draw
+  /// on one run-wide limits.max_intermediate_tuples budget shared by all
+  /// workers. That is deliberately stricter than the one-worker stream: a
+  /// parallel run whose buffered output would exceed the budget reports
+  /// kOutOfMemory where one worker would stream through. Callers that need
+  /// unbounded streaming of huge results should run one worker, or use
+  /// EvaluateFactorized (whose factorized root is usually far smaller than
+  /// the flat result).
   RunResult Evaluate(const Query& q, const Database& db,
                      const TupleCallback& cb, const RunLimits& limits) override;
 
   /// Computes q(D) as a persistent factorized representation instead of a
   /// flat tuple stream (Section 3.4): intermediate sets are maintained at
   /// every TD node and the root's set *is* the result — counting and
-  /// enumeration happen on demand via FactorizedQueryResult. Returns
+  /// enumeration happen on demand via FactorizedQueryResult. The root set
+  /// is the morsel roots' entries concatenated in morsel order. Returns
   /// nullopt if the run hit a limit (limits/result details in *run).
   std::optional<FactorizedQueryResult> EvaluateFactorized(
       const Query& q, const Database& db, const RunLimits& limits,
       RunResult* run);
 
  private:
-  CachedPlan ResolvePlan(const Query& q, const Database& db) const;
-
   /// Returns the prepared plan if injected, else resolves into *local.
   const CachedPlan* PlanFor(const Query& q, const Database& db,
-                            std::optional<CachedPlan>* local);
-  /// Emplaces a cursor over the prepared substrate if injected (checking
-  /// its order matches the plan), else over a freshly built private one.
-  void MakeContext(const Query& q, const Database& db, const CachedPlan& plan,
-                   ExecStats* stats, std::optional<TrieJoinContext>* ctx);
+                            std::optional<CachedPlan>* local) const;
+  /// Returns the prepared substrate if injected (checking its order matches
+  /// the plan), else builds a private one into *local.
+  const TrieJoinSubstrate* SubstrateFor(
+      const Query& q, const Database& db, const CachedPlan& plan,
+      std::optional<TrieJoinSubstrate>* local) const;
 
   Options options_;
+  std::string name_ = "CLFTJ";
 };
 
 }  // namespace clftj

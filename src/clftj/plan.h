@@ -141,10 +141,9 @@ struct CachedPlan {
                           const CacheOptions& cache_options);
 
   /// Resolves the plan for one run: `explicit_plan` when present, otherwise
-  /// the planner's choice, lowered via Build. Shared by the single-thread
-  /// and sharded engines so both execute the identical plan — a
-  /// precondition for the sharded executor's bit-identical-results
-  /// guarantee. The returned plan is immutable in execution and safe for
+  /// the planner's choice, lowered via Build. Every worker of a CLFTJ run
+  /// executes this one plan — a precondition for identical results at any
+  /// worker count. The returned plan is immutable in execution and safe for
   /// concurrent shared reads (AdhesionKey/AdmitsKey are const and write
   /// only through caller-owned buffers).
   static CachedPlan Resolve(const Query& q, const Database& db,

@@ -85,31 +85,23 @@ struct RunLimits {
 
 /// Outcome of one engine run. `count` is the number of result tuples (for
 /// Count) or the number of tuples emitted (for Evaluate). A run that hits a
-/// limit reports partial stats with the typed status (and the legacy
-/// timed_out/out_of_memory shims) set.
+/// limit reports partial stats with the typed status set.
 struct RunResult {
   std::uint64_t count = 0;
   /// Typed outcome; kOk unless the run terminated abnormally.
   RunStatus status = RunStatus::kOk;
   /// Human-readable detail for non-kOk statuses (may be empty).
   std::string message;
-  /// Legacy shims, kept in sync by SetStatus: prefer `status`.
-  bool timed_out = false;
-  bool out_of_memory = false;
   double seconds = 0.0;
   ExecStats stats;
 
-  /// Sets the typed status and keeps the legacy bool shims consistent.
+  /// Sets the typed status, and the message when one is given.
   void SetStatus(RunStatus s, std::string msg = std::string()) {
     status = s;
     if (!msg.empty()) message = std::move(msg);
-    timed_out = s == RunStatus::kTimeout;
-    out_of_memory = s == RunStatus::kOutOfMemory;
   }
 
-  bool ok() const {
-    return status == RunStatus::kOk && !timed_out && !out_of_memory;
-  }
+  bool ok() const { return status == RunStatus::kOk; }
 };
 
 /// Receives one full result tuple, indexed by VarId (size = num_vars()).
@@ -234,17 +226,17 @@ bool IsKnownEngine(const std::string& name);
 int EffectiveThreads(int threads);
 
 /// Cross-engine construction knobs for MakeEngine. Engines that have no
-/// use for a knob ignore it (only the CLFTJ family consumes `cache`, only
-/// CLFTJ-P consumes `threads`).
+/// use for a knob ignore it (only CLFTJ consumes them). CachedTrieJoin's
+/// own Options extend this struct with an explicit plan and planner.
 struct EngineOptions {
-  /// CLFTJ-P worker count; <= 0 means one per hardware thread
-  /// (EffectiveThreads).
+  /// CLFTJ worker count under the name "CLFTJ-P"; <= 0 means one per
+  /// hardware thread (EffectiveThreads). "CLFTJ" always runs one worker.
   int threads = 0;
-  /// CLFTJ / CLFTJ-P cache configuration (admission, capacity, eviction,
-  /// stripes). Defaults to the unbounded always-admit cache.
+  /// CLFTJ cache configuration (admission, capacity, eviction, stripes).
+  /// Defaults to the unbounded always-admit cache.
   CacheOptions cache;
 
-  // Cross-query reuse injection (CLFTJ / CLFTJ-P only; others ignore it).
+  // Cross-query reuse injection (CLFTJ only; other engines ignore it).
   // All borrowed from the serving loop's CrossQueryReuse::Prepared, which
   // must outlive the engine run. Null = the engine resolves/builds its own,
   // exactly the pre-reuse behavior.
@@ -260,8 +252,9 @@ struct EngineOptions {
   StripedCacheManager<FactorizedSetPtr>* shared_eval_cache = nullptr;
 };
 
-/// Factory over all engines: "LFTJ", "CLFTJ", "CLFTJ-P" (morsel-driven
-/// parallel CLFTJ, one worker per hardware thread by default), "YTD",
+/// Factory over all engines: "LFTJ", "CLFTJ" (one worker), "CLFTJ-P" (the
+/// same engine with EngineOptions::threads morsel workers, one per hardware
+/// thread by default), "YTD",
 /// "PairwiseHJ" (the PostgreSQL stand-in), "GenericJoin" (the SYS1 stand-in),
 /// "NestedLoop" (the reference). Returns nullptr for an unknown name.
 /// Engines built here use their default planning policies.

@@ -29,8 +29,8 @@ namespace clftj {
 /// Thread safety: a built Trie is immutable — every accessor is const and
 /// touches only data laid down by Build/FromColumns, so any number of
 /// threads (each with its own TrieIterator cursor) may read one Trie
-/// concurrently. This is what lets the sharded executor share one set of
-/// atom views across all workers.
+/// concurrently. This is what lets CLFTJ's morsel workers share one set
+/// of atom views.
 class Trie {
  public:
   /// Creates an empty trie of depth 0; use Build() for real tries.

@@ -198,26 +198,27 @@ TEST(RunStatusNames, RetryTaxonomy) {
   EXPECT_FALSE(IsRetryable(RunStatus::kCancelled));
 }
 
-TEST(RunResult, SetStatusKeepsLegacyShimsInSync) {
+TEST(RunResult, SetStatusSetsStatusAndMessage) {
   RunResult result;
+  EXPECT_TRUE(result.ok());
   result.SetStatus(RunStatus::kTimeout);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_FALSE(result.out_of_memory);
+  EXPECT_EQ(result.status, RunStatus::kTimeout);
+  EXPECT_TRUE(result.message.empty());
   EXPECT_FALSE(result.ok());
   result.SetStatus(RunStatus::kOutOfMemory, "budget blown");
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_TRUE(result.out_of_memory);
+  EXPECT_EQ(result.status, RunStatus::kOutOfMemory);
   EXPECT_EQ(result.message, "budget blown");
+  EXPECT_FALSE(result.ok());
+  // An empty message keeps the previous detail.
   result.SetStatus(RunStatus::kOk);
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_FALSE(result.out_of_memory);
+  EXPECT_EQ(result.status, RunStatus::kOk);
+  EXPECT_EQ(result.message, "budget blown");
   EXPECT_TRUE(result.ok());
 }
 
 // External cancellation through RunLimits::cancel terminates a real
-// engine run with a typed kCancelled, for both single-threaded CLFTJ and
-// the sharded executor (where the flag doubles as the workers' shared
-// stop signal).
+// engine run with a typed kCancelled, for CLFTJ at one worker and at many
+// ("CLFTJ-P", where the flag doubles as the workers' shared stop signal).
 TEST(ExternalCancel, PreCancelledRunReportsCancelledImmediately) {
   const Database db = testing::SmallSkewedDb(7);
   const Query q = testing::Q("E(x,y), E(y,z), E(z,x)");

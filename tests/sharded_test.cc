@@ -1,19 +1,20 @@
-// Differential and failure-propagation tests for CLFTJ-P, the morsel-driven
-// parallel executor: at every thread count the parallel run must reproduce
-// single-thread CLFTJ — counts, tuple sets and factorized results, and at
-// one thread the counters too — and a limit hit in any worker must stop
-// and be reported by the whole run within one deadline window. Also
+// Differential and failure-propagation tests for CLFTJ's morsel-driven
+// workers (the engine MakeEngine calls "CLFTJ-P" when threads vary): at
+// every thread count the run must reproduce the one-worker run — counts,
+// tuple sets and factorized results — and a limit hit in any worker must
+// stop and be reported by the whole run within one deadline window. Also
 // exercises the re-entrant run states directly (FirstVarRange morsel
 // arithmetic over one shared plan/substrate).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "clftj/cached_trie_join.h"
 #include "data/snap_profiles.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -46,18 +47,21 @@ Instance MakeInstance(std::uint64_t seed) {
   return inst;
 }
 
-ShardedCachedTrieJoin MakeSharded(int threads, CacheOptions cache = {}) {
-  ShardedCachedTrieJoin::Options options;
+CachedTrieJoin MakeSharded(int threads, CacheOptions cache = {}) {
+  CachedTrieJoin::Options options;
   options.threads = threads;
   options.cache = cache;
-  return ShardedCachedTrieJoin(options);
+  return CachedTrieJoin(options);
 }
 
 // Unsorted collection: pins the emission *order*, not just the set.
 std::vector<Tuple> RawTuples(JoinEngine& engine, const Query& q,
-                             const Database& db) {
+                             const Database& db, const RunLimits& limits = {},
+                             RunResult* run = nullptr) {
   std::vector<Tuple> out;
-  engine.Evaluate(q, db, [&out](const Tuple& t) { out.push_back(t); }, {});
+  const RunResult result = engine.Evaluate(
+      q, db, [&out](const Tuple& t) { out.push_back(t); }, limits);
+  if (run != nullptr) *run = result;
   return out;
 }
 
@@ -68,7 +72,7 @@ TEST_P(ShardedDifferentialTest, CountsMatchAtAllThreadCounts) {
   CachedTrieJoin single;
   const RunResult anchor = single.Count(inst.query, inst.db, {});
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor.count)
         << inst.query.ToString() << " threads=" << threads;
@@ -89,13 +93,13 @@ TEST_P(ShardedDifferentialTest, TupleSetsMatchAtAllThreadCounts) {
   // the hit pattern, and with several workers who hits depends on who
   // inserted first. The result *set* is identical at every thread count.
   const std::vector<Tuple> raw_anchor = RawTuples(single, inst.query, inst.db);
-  ShardedCachedTrieJoin one_shard = MakeSharded(1);
+  CachedTrieJoin one_shard = MakeSharded(1);
   EXPECT_EQ(RawTuples(one_shard, inst.query, inst.db), raw_anchor)
       << inst.query.ToString();
 
   const std::vector<Tuple> anchor = CollectTuples(single, inst.query, inst.db);
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     EXPECT_EQ(CollectTuples(parallel, inst.query, inst.db), anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -109,7 +113,7 @@ TEST_P(ShardedDifferentialTest, FactorizedResultMatchesSingleThread) {
       single.EvaluateFactorized(inst.query, inst.db, {}, &single_run);
   ASSERT_TRUE(anchor.has_value());
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     RunResult run;
     const auto got = parallel.EvaluateFactorized(inst.query, inst.db, {}, &run);
     ASSERT_TRUE(got.has_value()) << "threads=" << threads;
@@ -141,7 +145,7 @@ TEST_P(ShardedDifferentialTest, BoundedPrivateCachesStayCorrect) {
   CachedTrieJoin single(single_options);
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads, cache);
+    CachedTrieJoin parallel = MakeSharded(threads, cache);
     const RunResult got = parallel.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor)
         << inst.query.ToString() << " threads=" << threads;
@@ -167,7 +171,7 @@ TEST(Sharded, DomainSmallerThanThreadCount) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(q, db, {}).count;
   EXPECT_EQ(anchor, 3u);  // the 3 rotations of the directed triangle
-  ShardedCachedTrieJoin parallel = MakeSharded(8);
+  CachedTrieJoin parallel = MakeSharded(8);
   const RunResult got = parallel.Count(q, db, {});
   EXPECT_EQ(got.count, anchor);
   EXPECT_TRUE(got.ok());
@@ -183,7 +187,7 @@ TEST(Sharded, EmptyResultAndEmptyIntersection) {
   db.Put(std::move(e));
   const Query q = Q("E(x,y), E(y,x)");
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(q, db, {});
     EXPECT_EQ(got.count, 0u);
     EXPECT_TRUE(got.ok());
@@ -238,9 +242,9 @@ TEST(Sharded, TimeoutPropagatesToAllWorkers) {
   const Query q = CycleQuery(5);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expires at the first stride sample
-  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  CachedTrieJoin parallel = MakeSharded(4);
   const RunResult got = parallel.Count(q, db, limits);
-  EXPECT_TRUE(got.timed_out);
+  EXPECT_EQ(got.status, RunStatus::kTimeout);
   EXPECT_FALSE(got.ok());
 }
 
@@ -249,13 +253,12 @@ TEST(Sharded, OutOfMemoryInOneWorkerFailsTheRun) {
   const Query q = CycleQuery(4);
   RunLimits limits;
   limits.max_intermediate_tuples = 5;  // far below the real intermediate load
-  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  CachedTrieJoin parallel = MakeSharded(4);
   RunResult run;
   const auto got = parallel.EvaluateFactorized(q, db, limits, &run);
   EXPECT_FALSE(got.has_value());
-  EXPECT_TRUE(run.out_of_memory);
   // OOM dominates the secondary abort-flag "timeouts" of sibling workers.
-  EXPECT_FALSE(run.timed_out);
+  EXPECT_EQ(run.status, RunStatus::kOutOfMemory);
 }
 
 TEST(Sharded, EvaluateBufferRespectsMaterializationBudget) {
@@ -263,11 +266,11 @@ TEST(Sharded, EvaluateBufferRespectsMaterializationBudget) {
   const Query q = Q("E(x,y), E(y,z)");
   RunLimits limits;
   limits.max_intermediate_tuples = 10;  // the 2-path result is much larger
-  ShardedCachedTrieJoin parallel = MakeSharded(2);
+  CachedTrieJoin parallel = MakeSharded(2);
   std::uint64_t emitted = 0;
   const RunResult got = parallel.Evaluate(
       q, db, [&emitted](const Tuple&) { ++emitted; }, limits);
-  EXPECT_TRUE(got.out_of_memory);
+  EXPECT_EQ(got.status, RunStatus::kOutOfMemory);
   // The budget is run-wide: both shards together stay within it.
   EXPECT_LE(emitted, limits.max_intermediate_tuples);
 }
@@ -284,7 +287,7 @@ TEST(Sharded, MemoryAccessSumIsReportedAndSane) {
   const RunResult anchor = single.Count(q, db, {});
   ASSERT_TRUE(anchor.ok());
 
-  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  CachedTrieJoin parallel = MakeSharded(4);
   const RunResult got = parallel.Count(q, db, {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.count, anchor.count);
@@ -336,7 +339,7 @@ TEST(Morsels, SkewedDomainMatchesSerialAndReference) {
           << "the hub value must hold most of the output: " << q.ToString();
     }
     for (const int threads : {1, 2, 3, 4, 8}) {
-      ShardedCachedTrieJoin parallel = MakeSharded(threads);
+      CachedTrieJoin parallel = MakeSharded(threads);
       const RunResult got = parallel.Count(q, db, {});
       EXPECT_TRUE(got.ok());
       EXPECT_EQ(got.count, anchor)
@@ -360,7 +363,7 @@ TEST(Morsels, DomainSmallerThanMorselCount) {
   const std::uint64_t anchor = single.Count(q, db, {}).count;
   EXPECT_EQ(anchor, 80u);  // 20 starts x 2 x 2
   for (const int threads : {2, 4, 8}) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(q, db, {});
     EXPECT_TRUE(got.ok());
     EXPECT_EQ(got.count, anchor) << "threads=" << threads;
@@ -386,7 +389,7 @@ TEST(Morsels, TwoTierViewWithEmptyMainTier) {
   EXPECT_EQ(anchor, testing::ReferenceCount(q, db));
   EXPECT_GT(anchor, 0u);
   for (const int threads : {2, 4}) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(q, db, {});
     EXPECT_TRUE(got.ok());
     EXPECT_EQ(got.count, anchor) << "threads=" << threads;
@@ -415,7 +418,7 @@ TEST(Morsels, FactorizedRootsConcatenateInMorselOrder) {
   ASSERT_GT(want.size(), 1u);
   EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
   for (const int threads : {2, 4, 8}) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     RunResult run;
     const auto got = parallel.EvaluateFactorized(q, db, {}, &run);
     ASSERT_TRUE(got.has_value()) << "threads=" << threads;
@@ -435,38 +438,87 @@ TEST(Morsels, TimeoutCoversTheWholeRunNotEachMorsel) {
   Database db;
   db.Put(NearRegularGraph("E", 2000, 16000, /*seed=*/9));
   const Query q = CycleQuery(5);
-  ShardedCachedTrieJoin::Options options;
+  CachedTrieJoin::Options options;
   options.threads = 4;
   options.cache.enabled = false;
   options.prepared_plan = std::make_shared<const CachedPlan>(
       CachedPlan::Resolve(q, db, std::nullopt, {}, options.cache));
   RunLimits limits;
   limits.timeout_seconds = 0.5;
-  ShardedCachedTrieJoin parallel(options);
+  CachedTrieJoin parallel(options);
   const RunResult got = parallel.Count(q, db, limits);
   EXPECT_EQ(got.status, RunStatus::kTimeout);
   EXPECT_LT(got.seconds, limits.timeout_seconds + 0.5);
 }
 
 TEST(Morsels, PreTrippedCancelRunsNoMorsel) {
+  // Every worker count pulls from the same morsel queue, which hands out
+  // nothing once the flag has tripped — the one-worker run included.
   Database db = testing::SmallSkewedDb(3, /*nodes=*/80, /*edges_per_node=*/4);
   const Query q = CycleQuery(4);
   AbortFlag cancel;
   cancel.Trip(RunStatus::kCancelled);
   RunLimits limits;
   limits.cancel = &cancel;
-  for (const int threads : {2, 4}) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
-    const RunResult got = parallel.Count(q, db, limits);
-    EXPECT_EQ(got.status, RunStatus::kCancelled) << "threads=" << threads;
-    EXPECT_EQ(got.count, 0u);
+  const auto expect_no_morsel = [&](JoinEngine& engine,
+                                    const std::string& label) {
+    const RunResult got = engine.Count(q, db, limits);
+    EXPECT_EQ(got.status, RunStatus::kCancelled) << label;
+    EXPECT_EQ(got.count, 0u) << label;
     EXPECT_EQ(got.stats.memory_accesses, 0u)
-        << "a cancelled run must not start any morsel";
+        << "a cancelled run must not start any morsel: " << label;
+    RunResult eval;
+    EXPECT_TRUE(RawTuples(engine, q, db, limits, &eval).empty()) << label;
+    EXPECT_EQ(eval.status, RunStatus::kCancelled) << label;
+    EXPECT_EQ(eval.stats.memory_accesses, 0u) << label;
+  };
+  for (const int threads : {1, 2, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
+    expect_no_morsel(parallel, label);
     RunResult run;
-    EXPECT_FALSE(parallel.EvaluateFactorized(q, db, limits, &run).has_value());
-    EXPECT_EQ(run.status, RunStatus::kCancelled);
-    EXPECT_EQ(run.stats.memory_accesses, 0u);
+    EXPECT_FALSE(parallel.EvaluateFactorized(q, db, limits, &run).has_value())
+        << label;
+    EXPECT_EQ(run.status, RunStatus::kCancelled) << label;
+    EXPECT_EQ(run.stats.memory_accesses, 0u) << label;
   }
+  const std::unique_ptr<JoinEngine> sequential = MakeEngine("CLFTJ");
+  expect_no_morsel(*sequential, "CLFTJ");
+}
+
+TEST(Morsels, OneWorkerStreamsUnderABudget) {
+  // The budget sits just above the intermediate entries the run
+  // materializes and far below the flat result. One worker streams its
+  // output into the callback without charging it, so it finishes; two
+  // workers buffer output against the same run-wide budget and run out.
+  Database db;
+  db.Put(PreferentialAttachmentGraph("E", 300, 3, /*seed=*/7));
+  const Query q = CycleQuery(4);
+  const std::unique_ptr<JoinEngine> sequential = MakeEngine("CLFTJ");
+  RunResult unlimited;
+  const std::vector<Tuple> want = RawTuples(*sequential, q, db, {}, &unlimited);
+  ASSERT_TRUE(unlimited.ok());
+  RunLimits limits;
+  limits.max_intermediate_tuples = unlimited.stats.intermediate_tuples + 10;
+  ASSERT_GT(want.size(), limits.max_intermediate_tuples);
+
+  EngineOptions one;
+  one.threads = 1;
+  const std::unique_ptr<JoinEngine> one_worker = MakeEngine("CLFTJ-P", one);
+  for (JoinEngine* engine : {sequential.get(), one_worker.get()}) {
+    RunResult run;
+    const std::vector<Tuple> got = RawTuples(*engine, q, db, limits, &run);
+    EXPECT_EQ(run.status, RunStatus::kOk) << engine->name();
+    EXPECT_EQ(run.count, want.size()) << engine->name();
+    EXPECT_EQ(got, want) << engine->name();
+  }
+
+  EngineOptions two;
+  two.threads = 2;
+  const std::unique_ptr<JoinEngine> two_workers = MakeEngine("CLFTJ-P", two);
+  RunResult run;
+  RawTuples(*two_workers, q, db, limits, &run);
+  EXPECT_EQ(run.status, RunStatus::kOutOfMemory);
 }
 
 }  // namespace
