@@ -26,9 +26,57 @@ namespace clftj {
 // enumerates keys in ascending order, concatenating the per-morsel outputs
 // in morsel order reproduces the unrestricted run exactly.
 
-void CountRun::RCachedJoin(int d, std::uint64_t f) {
+template <typename S>
+SemiringRun<S>::SemiringRun(const CachedPlan& plan,
+                            const CacheOptions& cache_options,
+                            TrieJoinContext* ctx, ExecStats* stats,
+                            const RunLimits& limits, AbortFlag* abort,
+                            StripedCacheManager<Value>* shared_cache,
+                            const WeightFn<S>* weight, const Query* q)
+    : plan_(plan),
+      ctx_(ctx),
+      weight_(weight != nullptr && *weight ? weight : nullptr),
+      cache_(static_cast<int>(plan.cacheable.size()), cache_options, stats,
+             shared_cache),
+      intrmd_(plan.cacheable.size(), S::Zero()),
+      node_key_(plan.cacheable.size()),
+      node_wide_(plan.cacheable.size()),
+      assignment_(plan.order.size(), kNullValue),
+      deadline_(limits.timeout_seconds, abort) {
+  if (weight_ == nullptr) return;
+  CLFTJ_CHECK(q != nullptr);
+  // An atom's weight is applied at the depth of its last variable.
+  atoms_ending_at_.resize(plan.order.size());
+  depth_weight_.assign(plan.order.size(), S::One());
+  for (AtomId a = 0; a < q->num_atoms(); ++a) {
+    int last = 0;
+    for (const VarId x : q->atom(a).Vars()) {
+      last = std::max(last, plan.var_rank[x]);
+    }
+    atoms_ending_at_[last].push_back(a);
+  }
+}
+
+template <typename S>
+typename S::Value SemiringRun<S>::Run(const FirstVarRange& range) {
+  range_ = range;
+  total_ = S::Zero();
+  if (aborted_) return total_;
+  if (weight_ != nullptr) {
+    RCachedJoin<true>(0, S::One());
+  } else {
+    RCachedJoin<false>(0, S::One());
+  }
+  return total_;
+}
+
+// kWeighted is fixed per run, so the unweighted instance carries no weight
+// code at all: for CountingSemiring it is the plain counting recursion.
+template <typename S>
+template <bool kWeighted>
+void SemiringRun<S>::RCachedJoin(int d, Value f) {
   if (d == static_cast<int>(plan_.order.size())) {
-    total_ += f;
+    total_ = S::Plus(total_, f);
     return;
   }
   const NodeId v = plan_.owner_of_depth[d];
@@ -36,16 +84,18 @@ void CountRun::RCachedJoin(int d, std::uint64_t f) {
   PackedKey& key = node_key_[v];
   bool try_cache = false;
   if (entering) {
-    intrmd_[v] = 0;
+    intrmd_[v] = S::Zero();
     if (plan_.cacheable[v]) {
       try_cache = true;
       key = plan_.AdhesionKey(v, assignment_, &node_wide_[v]);
-      std::uint64_t hit;
+      Value hit;
       if (cache_.Lookup(v, key, &hit)) {
         intrmd_[v] = hit;
-        if (hit != 0) {
-          // Skip the whole subtree of v; its contribution is the factor.
-          RCachedJoin(plan_.subtree_last_depth[v] + 1, f * hit);
+        // Skip the whole subtree of v; its contribution is the factor.
+        // Zero annihilates ⊗, so a dead branch is not descended at all.
+        if (!(hit == S::Zero())) {
+          RCachedJoin<kWeighted>(plan_.subtree_last_depth[v] + 1,
+                                 S::Times(f, hit));
         }
         return;
       }
@@ -64,12 +114,30 @@ void CountRun::RCachedJoin(int d, std::uint64_t f) {
       break;
     }
     assignment_[plan_.order[d]] = join->Key();
-    RCachedJoin(d + 1, f);
+    if constexpr (kWeighted) {
+      // ⊗ of the weights of the atoms whose last variable sits at depth d.
+      Value w = S::One();
+      for (const AtomId a : atoms_ending_at_[d]) {
+        w = S::Times(w, (*weight_)(a, assignment_));
+      }
+      depth_weight_[d] = w;
+      RCachedJoin<kWeighted>(d + 1, S::Times(f, w));
+    } else {
+      RCachedJoin<kWeighted>(d + 1, f);
+    }
     if (aborted_) break;
     if (is_last_owned) {
-      std::uint64_t prod = 1;
-      for (const NodeId c : plan_.children[v]) prod *= intrmd_[c];
-      intrmd_[v] += prod;
+      Value prod = S::One();
+      if constexpr (kWeighted) {
+        // Weights of the atoms completing at this node's own depths.
+        for (int dd = plan_.first_depth[v]; dd <= plan_.last_depth[v]; ++dd) {
+          prod = S::Times(prod, depth_weight_[dd]);
+        }
+      }
+      for (const NodeId c : plan_.children[v]) {
+        prod = S::Times(prod, intrmd_[c]);
+      }
+      intrmd_[v] = S::Plus(intrmd_[v], prod);
     }
     join->Next();
   }
@@ -325,9 +393,10 @@ class MorselQueue {
 
 // Per-morsel outcome, merged in morsel order after the workers join.
 // `stats` is the slice of the worker's counters the morsel charged.
+// Count and Aggregate keep their ⊕-partials beside it (SemiringJoin).
 struct MorselOutcome {
   bool ran = false;
-  std::uint64_t count = 0;
+  std::uint64_t count = 0;                // Evaluate only
   ExecStats stats;
   bool timed_out = false;
   bool out_of_memory = false;
@@ -351,7 +420,7 @@ RunLimits RemainingLimits(const RunLimits& limits, const Timer& timer) {
   return remaining;
 }
 
-// One run's schedule, shared by Count, Evaluate and
+// One run's schedule, shared by Count, Aggregate, Evaluate and
 // EvaluateFactorized: the morsels, how many workers pull them, the
 // remaining budget every worker's one deadline window gets, the stop flag,
 // the queue and the per-morsel outcomes.
@@ -439,10 +508,15 @@ const TrieJoinSubstrate* CachedTrieJoin::SubstrateFor(
   return &local->emplace(q, db, plan.order);
 }
 
-RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
-                                const RunLimits& limits) {
+template <typename S>
+RunResult CachedTrieJoin::SemiringJoin(
+    const Query& q, const Database& db, const WeightFn<S>* weight,
+    StripedCacheManager<typename S::Value>* injected, const RunLimits& limits,
+    typename S::Value* value) {
+  using V = typename S::Value;
   RunResult result;
   Timer timer;
+  *value = S::Zero();
   std::optional<CachedPlan> local_plan;
   const CachedPlan& plan = *PlanFor(q, db, &local_plan);
   std::optional<TrieJoinSubstrate> local_substrate;
@@ -454,25 +528,62 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
     // A run-owned table is merged into the stats after the join; an
     // injected one never is (that merge is only sound on a quiescent
     // table, and an injected cache stays live across runs).
-    std::unique_ptr<StripedCacheManager<std::uint64_t>> owned;
-    StripedCacheManager<std::uint64_t>* shared = SharedTable(
-        options_.shared_count_cache, mr.workers, options_.cache, plan, &owned);
+    std::unique_ptr<StripedCacheManager<V>> owned;
+    StripedCacheManager<V>* shared =
+        SharedTable(injected, mr.workers, options_.cache, plan, &owned);
+    // One slot per morsel, each written by the one worker that ran it (a
+    // struct, so a bool payload is not packed into a shared vector<bool>).
+    struct Partial {
+      V value = S::Zero();
+    };
+    std::vector<Partial> partial(mr.morsels.size());
     RunWorkers(mr.workers, [&] {
       ExecStats sink;
       TrieJoinContext ctx(substrate, &sink);
-      CountRun run(plan, options_.cache, &ctx, &sink, mr.worker_limits,
-                   mr.abort, shared);
+      SemiringRun<S> run(plan, options_.cache, &ctx, &sink, mr.worker_limits,
+                         mr.abort, shared, weight, &q);
       mr.Drain(&sink, [&](MorselOutcome* o, std::size_t m) {
-        o->count = run.Run(mr.morsels[m]);
+        partial[m].value = run.Run(mr.morsels[m]);
         o->timed_out = run.timed_out();
         return !o->timed_out;
       });
     });
     mr.Merge(&result);
     if (owned != nullptr) result.stats.Merge(owned->AggregatedStats());
+    for (const Partial& p : partial) *value = S::Plus(*value, p.value);
   }
-  result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
+  return result;
+}
+
+template <typename S>
+RunResult CachedTrieJoin::Aggregate(const Query& q, const Database& db,
+                                    const WeightFn<S>& weight,
+                                    const RunLimits& limits,
+                                    typename S::Value* value) {
+  return SemiringJoin<S>(q, db, &weight, nullptr, limits, value);
+}
+
+// The five semirings of semiring.h, the only ones any caller uses.
+#define CLFTJ_INSTANTIATE_SEMIRING(S)                                      \
+  template class SemiringRun<S>;                                           \
+  template RunResult CachedTrieJoin::Aggregate<S>(                         \
+      const Query&, const Database&, const WeightFn<S>&, const RunLimits&, \
+      S::Value*);
+CLFTJ_INSTANTIATE_SEMIRING(CountingSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(RealSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(MaxPlusSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(MinPlusSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(BooleanSemiring)
+#undef CLFTJ_INSTANTIATE_SEMIRING
+
+RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
+                                const RunLimits& limits) {
+  std::uint64_t count = 0;
+  RunResult result = SemiringJoin<CountingSemiring>(
+      q, db, nullptr, options_.shared_count_cache, limits, &count);
+  result.count = count;
+  result.stats.output_tuples = count;
   return result;
 }
 

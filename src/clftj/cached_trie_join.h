@@ -2,6 +2,7 @@
 #define CLFTJ_CLFTJ_CACHED_TRIE_JOIN_H_
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "clftj/cache.h"
 #include "clftj/factorized.h"
 #include "clftj/plan.h"
+#include "clftj/semiring.h"
 #include "engine/engine.h"
 #include "lftj/trie_join.h"
 #include "td/planner.h"
@@ -31,71 +33,83 @@ struct FirstVarRange {
   Value hi = 0;
 };
 
-/// Per-run mutable state of counting CLFTJ (RCachedJoin of Figure 2 with f
-/// carried as a multiplicative factor and intrmd(v) as plain counters).
+/// Weight of one atom under the current assignment (indexed by VarId) in
+/// a semiring aggregate (CachedTrieJoin::Aggregate). Called once per atom
+/// per enumerated assignment region, from every worker of a run at once:
+/// it must be pure and thread-safe. An empty function weighs every atom
+/// S::One().
+template <typename S>
+using WeightFn = std::function<typename S::Value(AtomId, const Tuple&)>;
+
+/// Per-run mutable state of semiring CLFTJ: RCachedJoin of Figure 2 with f
+/// carried as a ⊗-factor and intrmd(v) as ⊕-accumulators, computing
+/// ⊕ over µ ∈ q(D) of ⊗ over atoms φ of weight(φ, µ) (the paper's Section 6
+/// extension, in the FAQ style of Abo Khamis et al.). An atom's weight
+/// joins the factor at the depth of its last variable, so a cached subtree
+/// value is the subtree's aggregate given the adhesion assignment and a hit
+/// multiplies into the factor like a count. Without a weight function no
+/// per-depth weight is computed: CountRun is plain counting.
 ///
 /// This is the run half of the run/plan split: everything mutable —
 /// iterators (via the TrieJoinContext cursor), the partial assignment,
-/// intermediate counters, the cache, stats and the deadline — lives here,
+/// intermediate values, the cache, stats and the deadline — lives here,
 /// while the CachedPlan and the trie substrate behind `ctx` are shared
-/// immutable inputs. N CountRuns over one plan/substrate (each with its own
-/// cursor, stats sink and cache) may execute concurrently, and one CountRun
+/// immutable inputs. N runs over one plan/substrate (each with its own
+/// cursor, stats sink and cache) may execute concurrently, and one run
 /// may run many ranges in turn under its single deadline window.
-class CountRun {
+template <typename S>
+class SemiringRun {
  public:
+  using Value = typename S::Value;
+
   /// `abort` (optional) is a stop flag shared across concurrent runs —
   /// this run trips it on its own deadline expiry and halts within one
   /// deadline stride when any other run trips it. `shared_cache`
   /// (optional) replaces the run's private cache with a striped table
   /// shared by concurrent runs: this run then probes and fills that one
   /// table, and `cache_options` budgets are ignored (the striped table
-  /// carries the global budget itself).
-  CountRun(const CachedPlan& plan, const CacheOptions& cache_options,
-           TrieJoinContext* ctx, ExecStats* stats, const RunLimits& limits,
-           AbortFlag* abort = nullptr,
-           StripedCacheManager<std::uint64_t>* shared_cache = nullptr)
-      : plan_(plan),
-        ctx_(ctx),
-        cache_(static_cast<int>(plan.cacheable.size()), cache_options, stats,
-               shared_cache),
-        intrmd_(plan.cacheable.size(), 0),
-        node_key_(plan.cacheable.size()),
-        node_wide_(plan.cacheable.size()),
-        assignment_(plan.order.size(), kNullValue),
-        deadline_(limits.timeout_seconds, abort) {}
+  /// carries the global budget itself). `weight` (optional, borrowed)
+  /// weighs the atoms of `q`, which must then be set too.
+  SemiringRun(const CachedPlan& plan, const CacheOptions& cache_options,
+              TrieJoinContext* ctx, ExecStats* stats, const RunLimits& limits,
+              AbortFlag* abort = nullptr,
+              StripedCacheManager<Value>* shared_cache = nullptr,
+              const WeightFn<S>* weight = nullptr, const Query* q = nullptr);
 
-  /// Counts the results whose first variable lies in `range`. Repeated
-  /// calls run further ranges with the same cache and deadline; nothing
-  /// runs once the run has aborted.
-  std::uint64_t Run(const FirstVarRange& range = {}) {
-    range_ = range;
-    total_ = 0;
-    if (!aborted_) RCachedJoin(0, 1);
-    return total_;
-  }
+  /// Aggregates the results whose first variable lies in `range`.
+  /// Repeated calls run further ranges with the same cache and deadline;
+  /// nothing runs once the run has aborted.
+  Value Run(const FirstVarRange& range = {});
 
   bool timed_out() const { return aborted_; }
 
  private:
-  void RCachedJoin(int d, std::uint64_t f);
+  template <bool kWeighted>
+  void RCachedJoin(int d, Value f);
 
   const CachedPlan& plan_;
   TrieJoinContext* ctx_;
-  RunCache<std::uint64_t> cache_;
-  std::vector<std::uint64_t> intrmd_;
+  const WeightFn<S>* weight_;  // null: unweighted, nothing below is used
+  std::vector<std::vector<AtomId>> atoms_ending_at_;  // weighted runs only
+  std::vector<Value> depth_weight_;                   // weighted runs only
+  RunCache<Value> cache_;
+  std::vector<Value> intrmd_;
   std::vector<PackedKey> node_key_;
   std::vector<Tuple> node_wide_;  // spill buffers for wide adhesion keys
   Tuple assignment_;
   FirstVarRange range_;
   DeadlineChecker deadline_;
-  std::uint64_t total_ = 0;
+  Value total_ = S::Zero();
   bool aborted_ = false;
 };
+
+/// Counting CLFTJ: the CountingSemiring run with no weight function.
+using CountRun = SemiringRun<CountingSemiring>;
 
 /// Per-run mutable state of evaluating CLFTJ: intermediate results become
 /// factorized sets; a cache hit pushes a skip record and the emission point
 /// expands the product of all active skips (Section 3.4). Same re-entrancy
-/// contract as CountRun: plan and substrate are shared immutable inputs,
+/// contract as SemiringRun: plan and substrate are shared immutable inputs,
 /// everything else is private to this run.
 class EvalRun {
  public:
@@ -193,7 +207,7 @@ class EvalRun {
 /// once — CachedPlan and TrieJoinSubstrate, both data-race-free under
 /// concurrent reads — then cuts the depth-0 domain into kMorselsPerWorker x
 /// workers small ascending value ranges (morsels). Each worker builds one
-/// CountRun/EvalRun with a private TrieJoinContext cursor and pulls morsel
+/// SemiringRun/EvalRun with a private TrieJoinContext cursor and pulls morsel
 /// indices from one atomic counter until the queue drains, so a hub-heavy
 /// prefix of a power-law domain spreads over every worker. The root
 /// variable owns no cacheable state, so the split costs the cache nothing.
@@ -201,10 +215,10 @@ class EvalRun {
 /// unbounded morsel on the calling thread: that is the sequential run.
 ///
 /// At every worker count: the wall-clock budget is one window that opens
-/// when Count/Evaluate/EvaluateFactorized is entered (plan resolution and
-/// the trie build included); a caller-provided cancel flag that is already
-/// tripped runs no morsel; and each worker's run state lives for the whole
-/// run, so no morsel restarts the timer. A single AbortFlag — the caller's
+/// when Count/Aggregate/Evaluate/EvaluateFactorized is entered (plan
+/// resolution and the trie build included); a caller-provided cancel flag
+/// that is already tripped runs no morsel; and each worker's run state
+/// lives for the whole run, so no morsel restarts the timer. A single AbortFlag — the caller's
 /// cancel handle, else a run-local one — propagates the first deadline
 /// expiry, materialization-budget hit or external cancel to every worker
 /// within one deadline stride.
@@ -214,14 +228,18 @@ class EvalRun {
 /// serving loop provides one, else a run-owned table carrying the
 /// undivided CacheOptions budget — so a subtree computed for any morsel is
 /// a hit for every other. One worker uses the injected table if any, else
-/// a private unsynchronized cache.
+/// a private unsynchronized cache. A weighted aggregate's cached values
+/// depend on its weight function, so Aggregate never uses an injected
+/// table: only run-owned ones.
 ///
 /// Determinism: morsels are ascending value intervals and the trie
-/// enumerates ascending, so summing counts and concatenating buffered
-/// tuples and factorized root entries in morsel order reproduce the
-/// one-worker result — identical counts and tuple sets at every worker
-/// count. Stats merge per morsel in morsel order, then the run-owned
-/// table's per-stripe counters in stripe order. With two or more workers
+/// enumerates ascending, so summing counts (⊕-folding aggregates) and
+/// concatenating buffered tuples and factorized root entries in morsel
+/// order reproduce the one-worker result — identical counts, tuple sets
+/// and exact aggregates at every worker count. A floating-point ⊕
+/// (RealSemiring) groups its additions by morsel, so it agrees with the
+/// one-worker value up to rounding. Stats merge per morsel in morsel
+/// order, then the run-owned table's per-stripe counters in stripe order. With two or more workers
 /// the tuple stream's interleaving and the counter values vary slightly
 /// across runs: a cache hit expands a skipped subtree at the emission
 /// point, and who hits depends on which worker inserted first.
@@ -254,6 +272,18 @@ class CachedTrieJoin : public JoinEngine {
 
   RunResult Count(const Query& q, const Database& db,
                   const RunLimits& limits) override;
+
+  /// Computes the semiring aggregate of q(D) under `weight` (empty: every
+  /// atom weighs S::One()) into *value, through the same morsel driver as
+  /// Count: typed status, cancellation, deadline window and worker count
+  /// alike; morsel partials merge with ⊕ in morsel order. `weight` is
+  /// called from every worker at once and must be pure and thread-safe.
+  /// RunResult::count stays 0. Instantiated for the five semirings of
+  /// semiring.h.
+  template <typename S>
+  RunResult Aggregate(const Query& q, const Database& db,
+                      const WeightFn<S>& weight, const RunLimits& limits,
+                      typename S::Value* value);
 
   /// One worker streams tuples straight into `cb`, charging nothing to the
   /// materialization budget for them. Two or more workers buffer each
@@ -288,6 +318,13 @@ class CachedTrieJoin : public JoinEngine {
   const TrieJoinSubstrate* SubstrateFor(
       const Query& q, const Database& db, const CachedPlan& plan,
       std::optional<TrieJoinSubstrate>* local) const;
+  /// The Count/Aggregate driver: `injected` is the striped table to share
+  /// (Count's persistent one), null for run-owned tables only.
+  template <typename S>
+  RunResult SemiringJoin(const Query& q, const Database& db,
+                         const WeightFn<S>* weight,
+                         StripedCacheManager<typename S::Value>* injected,
+                         const RunLimits& limits, typename S::Value* value);
 
   Options options_;
   std::string name_ = "CLFTJ";

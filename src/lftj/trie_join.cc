@@ -57,18 +57,6 @@ TrieJoinSubstrate::TrieJoinSubstrate(const Query& q,
 TrieJoinContext::TrieJoinContext(const TrieJoinSubstrate& substrate,
                                  ExecStats* stats)
     : substrate_(&substrate) {
-  Attach(stats);
-}
-
-TrieJoinContext::TrieJoinContext(const Query& q, const Database& db,
-                                 const std::vector<VarId>& order,
-                                 ExecStats* stats)
-    : owned_(std::make_unique<TrieJoinSubstrate>(q, db, order)),
-      substrate_(owned_.get()) {
-  Attach(stats);
-}
-
-void TrieJoinContext::Attach(ExecStats* stats) {
   const std::vector<AtomView>& views = substrate_->views();
   iters_.reserve(views.size());
   for (const AtomView& view : views) {
@@ -153,7 +141,8 @@ RunResult LeapfrogTrieJoin::Count(const Query& q, const Database& db,
                                   const RunLimits& limits) {
   RunResult result;
   Timer timer;
-  TrieJoinContext ctx(q, db, ResolveOrder(q, options_.order), &result.stats);
+  const TrieJoinSubstrate substrate(q, db, ResolveOrder(q, options_.order));
+  TrieJoinContext ctx(substrate, &result.stats);
   if (!ctx.HasEmptyAtom()) {
     DeadlineChecker deadline(limits.timeout_seconds, limits.cancel);
     LftjRun run(&ctx, &deadline);
@@ -175,7 +164,8 @@ RunResult LeapfrogTrieJoin::Evaluate(const Query& q, const Database& db,
                                      const RunLimits& limits) {
   RunResult result;
   Timer timer;
-  TrieJoinContext ctx(q, db, ResolveOrder(q, options_.order), &result.stats);
+  const TrieJoinSubstrate substrate(q, db, ResolveOrder(q, options_.order));
+  TrieJoinContext ctx(substrate, &result.stats);
   if (!ctx.HasEmptyAtom()) {
     DeadlineChecker deadline(limits.timeout_seconds, limits.cancel);
     LftjRun run(&ctx, &deadline);

@@ -99,12 +99,8 @@ class TrieJoinSubstrate {
 class TrieJoinContext {
  public:
   /// Cursor over an externally owned substrate, which must outlive the
-  /// context. This is the re-entrant path: many contexts, one substrate.
+  /// context: many contexts, one substrate.
   TrieJoinContext(const TrieJoinSubstrate& substrate, ExecStats* stats);
-
-  /// Convenience single-run path: builds and owns a private substrate.
-  TrieJoinContext(const Query& q, const Database& db,
-                  const std::vector<VarId>& order, ExecStats* stats);
 
   /// True if some atom's filtered view is empty (the result is empty).
   bool HasEmptyAtom() const { return substrate_->HasEmptyAtom(); }
@@ -123,9 +119,6 @@ class TrieJoinContext {
   void LeaveDepth(int d);
 
  private:
-  void Attach(ExecStats* stats);
-
-  std::unique_ptr<const TrieJoinSubstrate> owned_;     // convenience path only
   const TrieJoinSubstrate* substrate_;
   std::vector<std::unique_ptr<TrieIterator>> iters_;   // one per atom
   std::vector<std::vector<TrieIterator*>> at_depth_;   // participants per depth

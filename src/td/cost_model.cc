@@ -8,8 +8,18 @@
 
 namespace clftj {
 
-double StructuralTdCost(const Query& q, const TreeDecomposition& td,
-                        const StructuralCostWeights& weights) {
+namespace {
+
+// Weights of the structural TD cost (see StructuralTdCost). Splitting
+// into more, narrower bags lowers the dominant exponential term, which is
+// exactly the paper's "many bags are better" preference.
+constexpr double kBagExpBase = 3.0;     // Σ base^|bag| over all bags
+constexpr double kAdhesionWeight = 1.0;  // per squared adhesion cardinality
+constexpr double kDepthWeight = 0.5;     // penalty per level of tree depth
+
+}  // namespace
+
+double StructuralTdCost(const Query& q, const TreeDecomposition& td) {
   double cost = 0.0;
   for (NodeId v = 0; v < td.num_nodes(); ++v) {
     const std::vector<VarId>& bag = td.bag(v);
@@ -34,66 +44,28 @@ double StructuralTdCost(const Query& q, const TreeDecomposition& td,
     }
     const double width = std::min(
         30.0, static_cast<double>(bag.size() + uncovered));
-    cost += std::pow(weights.bag_exp_base, width);
+    cost += std::pow(kBagExpBase, width);
     if (v != td.root()) {
       const double a = static_cast<double>(td.Adhesion(v).size());
-      cost += weights.adhesion * a * a;
+      cost += kAdhesionWeight * a * a;
     }
   }
-  cost += weights.depth * static_cast<double>(td.Depth());
+  cost += kDepthWeight * static_cast<double>(td.Depth());
   return cost;
 }
 
-double ChuOrderCost(const Query& q, const Database& db,
-                    const std::vector<VarId>& order) {
+namespace {
+
+// var_rank[x] = position of variable x in `order`, a full order of q's
+// variables.
+std::vector<int> RankOf(const Query& q, const std::vector<VarId>& order) {
   CLFTJ_CHECK(static_cast<int>(order.size()) == q.num_vars());
   std::vector<int> var_rank(q.num_vars(), kNone);
   for (int d = 0; d < static_cast<int>(order.size()); ++d) {
     var_rank[order[d]] = d;
   }
-
-  // Per-atom trie level statistics under this order.
-  struct AtomStats {
-    std::vector<VarId> level_vars;
-    std::vector<double> level_counts;  // distinct prefixes per level
-  };
-  std::vector<AtomStats> stats;
-  for (const Atom& atom : q.atoms()) {
-    const Relation& rel = db.Get(atom.relation);
-    const AtomView view = BuildAtomView(rel, atom, var_rank);
-    AtomStats s;
-    s.level_vars = view.level_vars;
-    for (int l = 0; l < view.trie->depth(); ++l) {
-      s.level_counts.push_back(
-          static_cast<double>(view.trie->values(l).size()));
-    }
-    if (view.trie->depth() == 0 || view.trie->num_tuples() == 0) {
-      return 0.0;  // empty view: the join is empty, any order is free
-    }
-    stats.push_back(std::move(s));
-  }
-
-  double cost = 0.0;
-  double prefix_count = 1.0;
-  for (const VarId x : order) {
-    double best_branch = -1.0;
-    for (const AtomStats& s : stats) {
-      for (std::size_t l = 0; l < s.level_vars.size(); ++l) {
-        if (s.level_vars[l] != x) continue;
-        const double denom = l == 0 ? 1.0 : s.level_counts[l - 1];
-        const double branch = s.level_counts[l] / std::max(1.0, denom);
-        best_branch =
-            best_branch < 0.0 ? branch : std::min(best_branch, branch);
-      }
-    }
-    CLFTJ_CHECK_MSG(best_branch >= 0.0, "variable not covered by any atom");
-    prefix_count *= best_branch;
-    cost += prefix_count;
-  }
-  return cost;
+  return var_rank;
 }
-
-namespace {
 
 // Per-atom trie level statistics under an order (shared by the two
 // data-aware cost models). Returns false if some view is empty (join is
@@ -157,16 +129,26 @@ double EffectiveDistinct(const Query& q, const Database& db, VarId x) {
 
 }  // namespace
 
+double ChuOrderCost(const Query& q, const Database& db,
+                    const std::vector<VarId>& order) {
+  std::vector<AtomLevelStats> stats;
+  if (!CollectAtomStats(q, db, RankOf(q, order), &stats)) {
+    return 0.0;  // empty view: the join is empty, any order is free
+  }
+  double cost = 0.0;
+  double prefix_count = 1.0;
+  for (const VarId x : order) {
+    prefix_count *= MinBranch(stats, x);
+    cost += prefix_count;
+  }
+  return cost;
+}
+
 double CachedPlanCost(const Query& q, const Database& db,
                       const TreeDecomposition& td,
                       const std::vector<VarId>& order) {
-  CLFTJ_CHECK(static_cast<int>(order.size()) == q.num_vars());
-  std::vector<int> var_rank(q.num_vars(), kNone);
-  for (int d = 0; d < static_cast<int>(order.size()); ++d) {
-    var_rank[order[d]] = d;
-  }
   std::vector<AtomLevelStats> stats;
-  if (!CollectAtomStats(q, db, var_rank, &stats)) return 0.0;
+  if (!CollectAtomStats(q, db, RankOf(q, order), &stats)) return 0.0;
 
   const std::vector<NodeId> owners = td.Owners(q.num_vars());
   // Owned depths per node, in order.

@@ -24,22 +24,20 @@ struct TdPlan {
   double cached_cost = 0.0;
 };
 
+/// The planner's settable policy: the TD enumeration bounds. Candidates
+/// are always ranked by structural cost, then by the data-aware cache cost
+/// (what separates the isomorphic TD1/TD2 of Figure 13).
 struct PlannerOptions {
   DecomposeOptions decompose;
-  StructuralCostWeights weights;
-  /// Whether to break structural-cost ties with the data-aware Chu order
-  /// cost (this is what separates the isomorphic TD1/TD2 of Figure 13).
-  bool use_order_cost = true;
 };
 
 /// Builds a TdPlan from an explicit TD: derives the canonical strongly
 /// compatible order and fills in costs. Aborts if the TD is invalid for q.
 TdPlan MakePlanFromTd(const Query& q, const Database& db,
-                      TreeDecomposition td,
-                      const PlannerOptions& options = {});
+                      TreeDecomposition td);
 
-/// Enumerates candidate TDs (Section 4), scores each (structural cost
-/// first, Chu order cost as tie-break/secondary), and returns the best
+/// Enumerates candidate TDs (Section 4), ranks them (structural-cost
+/// bucket first, then the cache-aware CachedPlanCost), and returns the best
 /// plan. Always succeeds: for indecomposable queries (cliques) the plan is
 /// the singleton TD, under which CLFTJ degenerates to plain LFTJ.
 TdPlan PlanQuery(const Query& q, const Database& db,

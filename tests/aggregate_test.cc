@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
+#include <limits>
+#include <string>
 
-#include "clftj/aggregate_join.h"
 #include "clftj/cached_trie_join.h"
 #include "clftj/semiring.h"
 #include "query/patterns.h"
@@ -14,11 +14,14 @@ namespace {
 
 using ::clftj::testing::Q;
 using ::clftj::testing::ReferenceTuples;
-using ::clftj::testing::SmallBalancedDb;
 using ::clftj::testing::SmallSkewedDb;
 
+constexpr int kThreadCounts[] = {1, 2, 4};
+
 // Edge weight derived deterministically from the atom's endpoint values so
-// brute force and the engine agree without shared state.
+// brute force and the engine agree without shared state. Its 0.01 steps
+// are not dyadic, so RealSemiring sums round differently under another
+// grouping of the additions.
 double EdgeWeight(const Query& q, AtomId a, const Tuple& mu) {
   double w = 1.0;
   for (const Term& t : q.atom(a).terms) {
@@ -27,57 +30,122 @@ double EdgeWeight(const Query& q, AtomId a, const Tuple& mu) {
   return w;
 }
 
+// A weight in 1/16 steps: sums and products of a few of them are exact in
+// a double, so the max-plus and min-plus optima must match brute force
+// exactly whatever order the engine adds them in.
+double DyadicWeight(const Query& q, AtomId a, const Tuple& mu) {
+  double w = 1.0;
+  for (const Term& t : q.atom(a).terms) {
+    if (t.is_variable) w += static_cast<double>(mu[t.var] % 17) / 16.0;
+  }
+  return w;
+}
+
+using WeightOf = double (*)(const Query&, AtomId, const Tuple&);
+
+template <typename S>
+WeightFn<S> Weigh(const Query& q, WeightOf weight) {
+  return [&q, weight](AtomId a, const Tuple& mu) {
+    return static_cast<typename S::Value>(weight(q, a, mu));
+  };
+}
+
 // Brute-force semiring aggregate over the reference tuple set.
 template <typename S>
-typename S::Value BruteAggregate(const Query& q, const Database& db) {
+typename S::Value BruteAggregate(const Query& q, const Database& db,
+                                 WeightOf weight = EdgeWeight) {
   typename S::Value total = S::Zero();
   for (const Tuple& t : ReferenceTuples(q, db)) {
     typename S::Value prod = S::One();
     for (AtomId a = 0; a < q.num_atoms(); ++a) {
-      prod = S::Times(prod, static_cast<typename S::Value>(
-                                EdgeWeight(q, a, t)));
+      prod = S::Times(prod, static_cast<typename S::Value>(weight(q, a, t)));
     }
     total = S::Plus(total, prod);
   }
   return total;
 }
 
+CachedTrieJoin Engine(int threads, CachedTrieJoin::Options options = {}) {
+  options.threads = threads;
+  return CachedTrieJoin(std::move(options));
+}
+
+template <typename S>
+typename S::Value AggregateOk(CachedTrieJoin& engine, const Query& q,
+                              const Database& db,
+                              const WeightFn<S>& weight = nullptr) {
+  typename S::Value value = S::Zero();
+  const RunResult run = engine.Aggregate<S>(q, db, weight, {}, &value);
+  EXPECT_EQ(run.status, RunStatus::kOk) << q.ToString();
+  return value;
+}
+
+void ExpectRealNear(double got, double expected, const std::string& label) {
+  EXPECT_NEAR(got, expected, 1e-6 * std::max(1.0, std::fabs(expected)))
+      << label;
+}
+
 TEST(Aggregate, CountingSemiringMatchesCount) {
   const Database db = SmallSkewedDb(101, 50, 3);
   for (const Query& q : {PathQuery(4), CycleQuery(4), LollipopQuery(3, 2)}) {
-    AggregatingCachedTrieJoin<CountingSemiring> agg;
     CachedTrieJoin counter;
-    EXPECT_EQ(agg.Aggregate(q, db).value, counter.Count(q, db, {}).count)
-        << q.ToString();
+    const std::uint64_t anchor = counter.Count(q, db, {}).count;
+    for (const int threads : kThreadCounts) {
+      CachedTrieJoin engine = Engine(threads);
+      EXPECT_EQ(AggregateOk<CountingSemiring>(engine, q, db), anchor)
+          << q.ToString() << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Aggregate, EverySemiringMatchesBruteForceAtEveryWorkerCount) {
+  const Database db = SmallSkewedDb(117, 50, 3);
+  for (const Query& q : {PathQuery(4), CycleQuery(4), LollipopQuery(3, 2)}) {
+    for (const int threads : kThreadCounts) {
+      const std::string label =
+          q.ToString() + " threads=" + std::to_string(threads);
+      CachedTrieJoin engine = Engine(threads);
+      EXPECT_EQ(AggregateOk<CountingSemiring>(
+                    engine, q, db, Weigh<CountingSemiring>(q, DyadicWeight)),
+                BruteAggregate<CountingSemiring>(q, db, DyadicWeight))
+          << label;
+      EXPECT_EQ(AggregateOk<MaxPlusSemiring>(
+                    engine, q, db, Weigh<MaxPlusSemiring>(q, DyadicWeight)),
+                BruteAggregate<MaxPlusSemiring>(q, db, DyadicWeight))
+          << label;
+      EXPECT_EQ(AggregateOk<MinPlusSemiring>(
+                    engine, q, db, Weigh<MinPlusSemiring>(q, DyadicWeight)),
+                BruteAggregate<MinPlusSemiring>(q, db, DyadicWeight))
+          << label;
+      EXPECT_EQ(AggregateOk<BooleanSemiring>(
+                    engine, q, db, Weigh<BooleanSemiring>(q, DyadicWeight)),
+                BruteAggregate<BooleanSemiring>(q, db, DyadicWeight))
+          << label;
+      // ⊕ over morsels regroups the floating-point additions.
+      ExpectRealNear(AggregateOk<RealSemiring>(
+                         engine, q, db, Weigh<RealSemiring>(q, EdgeWeight)),
+                     BruteAggregate<RealSemiring>(q, db, EdgeWeight), label);
+    }
   }
 }
 
 TEST(Aggregate, RealSemiringMatchesBruteForce) {
   const Database db = SmallSkewedDb(103, 40, 2);
   for (const Query& q : {PathQuery(3), PathQuery(4), CycleQuery(4)}) {
-    AggregatingCachedTrieJoin<RealSemiring> agg;
-    const double got =
-        agg.Aggregate(q, db,
-                      [&q](AtomId a, const Tuple& mu) {
-                        return EdgeWeight(q, a, mu);
-                      })
-            .value;
     const double expected = BruteAggregate<RealSemiring>(q, db);
-    EXPECT_NEAR(got, expected, 1e-6 * std::max(1.0, std::fabs(expected)))
-        << q.ToString();
+    for (const int threads : kThreadCounts) {
+      CachedTrieJoin engine = Engine(threads);
+      ExpectRealNear(AggregateOk<RealSemiring>(
+                         engine, q, db, Weigh<RealSemiring>(q, EdgeWeight)),
+                     expected,
+                     q.ToString() + " threads=" + std::to_string(threads));
+    }
   }
 }
 
 TEST(Aggregate, MaxPlusFindsHeaviestInstance) {
   const Database db = SmallSkewedDb(105, 40, 2);
   const Query q = PathQuery(4);
-  AggregatingCachedTrieJoin<MaxPlusSemiring> agg;
-  const double got =
-      agg.Aggregate(q, db,
-                    [&q](AtomId a, const Tuple& mu) {
-                      return EdgeWeight(q, a, mu);
-                    })
-          .value;
   // Brute force: max over tuples of the sum of atom weights.
   double expected = -std::numeric_limits<double>::infinity();
   for (const Tuple& t : ReferenceTuples(q, db)) {
@@ -85,26 +153,31 @@ TEST(Aggregate, MaxPlusFindsHeaviestInstance) {
     for (AtomId a = 0; a < q.num_atoms(); ++a) sum += EdgeWeight(q, a, t);
     expected = std::max(expected, sum);
   }
-  EXPECT_NEAR(got, expected, 1e-9);
+  for (const int threads : kThreadCounts) {
+    CachedTrieJoin engine = Engine(threads);
+    EXPECT_NEAR(AggregateOk<MaxPlusSemiring>(
+                    engine, q, db, Weigh<MaxPlusSemiring>(q, EdgeWeight)),
+                expected, 1e-9)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Aggregate, MinPlusFindsLightestInstance) {
   const Database db = SmallSkewedDb(107, 40, 2);
   const Query q = CycleQuery(4);
-  AggregatingCachedTrieJoin<MinPlusSemiring> agg;
-  const double got =
-      agg.Aggregate(q, db,
-                    [&q](AtomId a, const Tuple& mu) {
-                      return EdgeWeight(q, a, mu);
-                    })
-          .value;
   double expected = std::numeric_limits<double>::infinity();
   for (const Tuple& t : ReferenceTuples(q, db)) {
     double sum = 0;
     for (AtomId a = 0; a < q.num_atoms(); ++a) sum += EdgeWeight(q, a, t);
     expected = std::min(expected, sum);
   }
-  EXPECT_NEAR(got, expected, 1e-9);
+  for (const int threads : kThreadCounts) {
+    CachedTrieJoin engine = Engine(threads);
+    EXPECT_NEAR(AggregateOk<MinPlusSemiring>(
+                    engine, q, db, Weigh<MinPlusSemiring>(q, EdgeWeight)),
+                expected, 1e-9)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Aggregate, BooleanSemiringIsSatisfiability) {
@@ -113,28 +186,31 @@ TEST(Aggregate, BooleanSemiringIsSatisfiability) {
   e.AddPair(1, 2);
   e.AddPair(2, 3);
   db.Put(std::move(e));
-  AggregatingCachedTrieJoin<BooleanSemiring> agg;
-  EXPECT_TRUE(agg.Aggregate(Q("E(x,y), E(y,z)"), db).value);
-  EXPECT_FALSE(agg.Aggregate(Q("E(x,y), E(y,x)"), db).value);
+  for (const int threads : kThreadCounts) {
+    CachedTrieJoin engine = Engine(threads);
+    EXPECT_TRUE(AggregateOk<BooleanSemiring>(engine, Q("E(x,y), E(y,z)"), db));
+    EXPECT_FALSE(
+        AggregateOk<BooleanSemiring>(engine, Q("E(x,y), E(y,x)"), db));
+  }
 }
 
 TEST(Aggregate, EmptySemiringResultIsZero) {
   Database db;
   db.Put(Relation("E", 2));
-  AggregatingCachedTrieJoin<RealSemiring> agg;
-  EXPECT_EQ(agg.Aggregate(PathQuery(3), db).value, 0.0);
+  CachedTrieJoin engine;
+  EXPECT_EQ(AggregateOk<RealSemiring>(engine, PathQuery(3), db), 0.0);
+  EXPECT_EQ(AggregateOk<MaxPlusSemiring>(engine, PathQuery(3), db),
+            MaxPlusSemiring::Zero());
 }
 
 TEST(Aggregate, CachePoliciesPreserveAggregates) {
   const Database db = SmallSkewedDb(109, 45, 3);
   const Query q = PathQuery(5);
-  const auto weight = [&q](AtomId a, const Tuple& mu) {
-    return EdgeWeight(q, a, mu);
-  };
-  AggregatingCachedTrieJoin<RealSemiring> unbounded;
-  const double expected = unbounded.Aggregate(q, db, weight).value;
+  const WeightFn<RealSemiring> weight = Weigh<RealSemiring>(q, EdgeWeight);
+  CachedTrieJoin unbounded;
+  const double expected = AggregateOk<RealSemiring>(unbounded, q, db, weight);
   for (int policy = 0; policy < 3; ++policy) {
-    AggregatingCachedTrieJoin<RealSemiring>::Options options;
+    CachedTrieJoin::Options options;
     switch (policy) {
       case 0:
         options.cache.capacity = 4;
@@ -148,45 +224,112 @@ TEST(Aggregate, CachePoliciesPreserveAggregates) {
         options.cache.support_threshold = 4;
         break;
     }
-    AggregatingCachedTrieJoin<RealSemiring> engine(options);
-    const double got = engine.Aggregate(q, db, weight).value;
-    EXPECT_NEAR(got, expected, 1e-6 * std::max(1.0, std::fabs(expected)))
-        << "policy " << policy;
+    for (const int threads : kThreadCounts) {
+      CachedTrieJoin engine = Engine(threads, options);
+      ExpectRealNear(AggregateOk<RealSemiring>(engine, q, db, weight),
+                     expected,
+                     "policy " + std::to_string(policy) +
+                         " threads=" + std::to_string(threads));
+    }
   }
 }
 
 TEST(Aggregate, ExplicitPlanHonored) {
   const Database db = SmallSkewedDb(111, 40, 2);
   const Query q = PathQuery(4);
-  AggregatingCachedTrieJoin<CountingSemiring>::Options options;
+  CachedTrieJoin::Options options;
   TreeDecomposition td;
   const NodeId root = td.AddNode({0, 1}, kNone);
   const NodeId mid = td.AddNode({1, 2}, root);
   td.AddNode({2, 3}, mid);
   options.plan = MakePlanFromTd(q, db, std::move(td));
-  AggregatingCachedTrieJoin<CountingSemiring> engine(options);
+  CachedTrieJoin engine(options);
   CachedTrieJoin counter;
-  EXPECT_EQ(engine.Aggregate(q, db).value, counter.Count(q, db, {}).count);
+  EXPECT_EQ(AggregateOk<CountingSemiring>(engine, q, db),
+            counter.Count(q, db, {}).count);
 }
 
 TEST(Aggregate, TimeoutReported) {
   const Database db = SmallSkewedDb(113, 200, 8);
-  AggregatingCachedTrieJoin<CountingSemiring>::Options options;
+  CachedTrieJoin::Options options;
   options.cache.enabled = false;
-  AggregatingCachedTrieJoin<CountingSemiring> engine(options);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;
-  EXPECT_TRUE(engine.Aggregate(PathQuery(6), db, nullptr, limits).timed_out);
+  for (const int threads : kThreadCounts) {
+    CachedTrieJoin engine = Engine(threads, options);
+    std::uint64_t value = 0;
+    const RunResult run = engine.Aggregate<CountingSemiring>(
+        PathQuery(6), db, nullptr, limits, &value);
+    EXPECT_EQ(run.status, RunStatus::kTimeout) << "threads=" << threads;
+  }
+}
+
+TEST(Aggregate, PreTrippedCancelRunsNoMorsel) {
+  const Database db = SmallSkewedDb(119, 80, 4);
+  const Query q = CycleQuery(4);
+  AbortFlag cancel;
+  cancel.Trip(RunStatus::kCancelled);
+  RunLimits limits;
+  limits.cancel = &cancel;
+  for (const int threads : kThreadCounts) {
+    CachedTrieJoin engine = Engine(threads);
+    double value = 1.0;
+    const RunResult run = engine.Aggregate<RealSemiring>(
+        q, db, Weigh<RealSemiring>(q, EdgeWeight), limits, &value);
+    EXPECT_EQ(run.status, RunStatus::kCancelled) << "threads=" << threads;
+    EXPECT_EQ(run.stats.memory_accesses, 0u) << "threads=" << threads;
+    EXPECT_EQ(value, 0.0) << "threads=" << threads;
+  }
+}
+
+TEST(Aggregate, OneWorkerCountingChargesWhatCountCharges) {
+  const Database db = SmallSkewedDb(121, 60, 3);
+  for (const Query& q : {PathQuery(5), CycleQuery(5)}) {
+    CachedTrieJoin engine;
+    const RunResult count = engine.Count(q, db, {});
+    std::uint64_t value = 0;
+    const RunResult agg =
+        engine.Aggregate<CountingSemiring>(q, db, nullptr, {}, &value);
+    EXPECT_EQ(value, count.count) << q.ToString();
+    EXPECT_EQ(agg.stats.memory_accesses, count.stats.memory_accesses)
+        << q.ToString();
+    EXPECT_EQ(agg.stats.cache_hits, count.stats.cache_hits) << q.ToString();
+    EXPECT_EQ(agg.stats.cache_misses, count.stats.cache_misses)
+        << q.ToString();
+  }
+}
+
+TEST(Aggregate, WeightedRunNeverTouchesTheInjectedCountTable) {
+  // A weighted aggregate's cached values depend on its weights, so it must
+  // not read or fill the count table a serving loop injects for Count.
+  const Database db = SmallSkewedDb(123, 50, 3);
+  const Query q = PathQuery(4);
+  const CachedPlan plan =
+      CachedPlan::Resolve(q, db, std::nullopt, {}, CacheOptions{});
+  const double expected = BruteAggregate<RealSemiring>(q, db);
+  for (const int threads : kThreadCounts) {
+    StripedCacheManager<std::uint64_t> persistent(
+        static_cast<int>(plan.cacheable.size()), CacheOptions{}, threads);
+    CachedTrieJoin::Options options;
+    options.shared_count_cache = &persistent;
+    CachedTrieJoin engine = Engine(threads, options);
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectRealNear(AggregateOk<RealSemiring>(
+                       engine, q, db, Weigh<RealSemiring>(q, EdgeWeight)),
+                   expected, label);
+    EXPECT_EQ(persistent.size(), 0u) << label;
+    EXPECT_EQ(persistent.AggregatedStats().cache_misses, 0u) << label;
+  }
 }
 
 TEST(Aggregate, CachingActuallyHappens) {
   const Database db = SmallSkewedDb(115, 60, 3);
-  AggregatingCachedTrieJoin<RealSemiring> engine;
   const Query q = PathQuery(5);
-  const auto result = engine.Aggregate(q, db, [&q](AtomId a, const Tuple& mu) {
-    return EdgeWeight(q, a, mu);
-  });
-  EXPECT_GT(result.stats.cache_hits, 0u);
+  CachedTrieJoin engine;
+  double value = 0.0;
+  const RunResult run = engine.Aggregate<RealSemiring>(
+      q, db, Weigh<RealSemiring>(q, EdgeWeight), {}, &value);
+  EXPECT_GT(run.stats.cache_hits, 0u);
 }
 
 }  // namespace

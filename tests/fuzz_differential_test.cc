@@ -8,7 +8,6 @@
 
 #include "baseline/generic_join.h"
 #include "baseline/hash_join.h"
-#include "clftj/aggregate_join.h"
 #include "clftj/cached_trie_join.h"
 #include "lftj/trie_join.h"
 #include "query/patterns.h"
@@ -60,9 +59,17 @@ TEST_P(FuzzDifferentialTest, AllEnginesAgreeOnCount) {
   PairwiseHashJoin hj;
   EXPECT_EQ(hj.Count(inst.query, inst.db, {}).count, anchor)
       << inst.query.ToString();
-  AggregatingCachedTrieJoin<CountingSemiring> agg;
-  EXPECT_EQ(agg.Aggregate(inst.query, inst.db).value, anchor)
-      << inst.query.ToString();
+  for (const int threads : {1, 4}) {
+    CachedTrieJoin::Options options;
+    options.threads = threads;
+    CachedTrieJoin agg(options);
+    std::uint64_t value = 0;
+    EXPECT_TRUE(agg.Aggregate<CountingSemiring>(inst.query, inst.db, nullptr,
+                                                {}, &value)
+                    .ok());
+    EXPECT_EQ(value, anchor)
+        << inst.query.ToString() << " aggregate threads=" << threads;
+  }
 }
 
 TEST_P(FuzzDifferentialTest, EvalTuplesAgree) {

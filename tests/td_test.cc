@@ -234,6 +234,101 @@ TEST(CostModel, ChuCostZeroOnEmptyData) {
   EXPECT_EQ(ChuOrderCost(q, db, {0, 1, 2}), 0.0);
 }
 
+// A small directed relation whose orders do differ in cost (the
+// preferential-attachment graphs are symmetric, so many orders tie).
+Database AsymmetricDb() {
+  Relation e("E", 2);
+  for (Value i = 0; i < 90; ++i) e.AddPair(i % 7, (i * 5) % 23);
+  Database db;
+  db.Put(std::move(e));
+  return db;
+}
+
+// Exact costs recorded before ChuOrderCost shared CollectAtomStats and
+// MinBranch with CachedPlanCost: folding the copies must not move a bit.
+TEST(CostModel, ChuOrderCostIsPinned) {
+  Database pa;
+  pa.Put(PreferentialAttachmentGraph("E", 80, 3, 7));
+  const Database asym = AsymmetricDb();
+  const Query path = PathQuery(4);
+  const Query cycle = CycleQuery(4);
+  EXPECT_EQ(ChuOrderCost(path, pa, {0, 1, 2, 3}), 19301.929999999997);
+  EXPECT_EQ(ChuOrderCost(path, pa, {3, 2, 1, 0}), 19301.929999999997);
+  EXPECT_EQ(ChuOrderCost(cycle, pa, {0, 2, 1, 3}), 262944.0);
+  EXPECT_EQ(ChuOrderCost(path, asym, {0, 1, 2, 3}), 4809.0);
+  EXPECT_EQ(ChuOrderCost(path, asym, {3, 2, 1, 0}), 1843.2457466918713);
+  EXPECT_EQ(ChuOrderCost(path, asym, {1, 0, 2, 3}), 2691.347826086956);
+  EXPECT_EQ(ChuOrderCost(cycle, asym, {0, 2, 1, 3}), 2712.9565217391305);
+}
+
+// EnumeratePlans' candidates, their order and every cost, recorded before
+// the same fold and the planner knobs became constants.
+TEST(Planner, EnumeratePlansIsPinned) {
+  struct Expected {
+    const char* td;
+    double structural;
+    double chu;
+    double cached;
+  };
+  const auto expect_plans = [](const Query& q, const Database& db,
+                               const std::vector<Expected>& expected) {
+    const std::vector<TdPlan> plans = EnumeratePlans(q, db);
+    ASSERT_EQ(plans.size(), expected.size()) << q.ToString();
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      EXPECT_EQ(plans[i].td.ToString(q), expected[i].td) << i;
+      EXPECT_EQ(plans[i].structural_cost, expected[i].structural) << i;
+      EXPECT_EQ(plans[i].order_cost, expected[i].chu) << i;
+      EXPECT_EQ(plans[i].cached_cost, expected[i].cached) << i;
+      EXPECT_EQ(plans[i].cached_cost,
+                CachedPlanCost(q, db, plans[i].td, plans[i].order))
+          << i;
+    }
+  };
+  Database pa;
+  pa.Put(PreferentialAttachmentGraph("E", 80, 3, 7));
+  expect_plans(
+      CycleQuery(5), pa,
+      {{"{x1,x2,x5}[{x2,x4,x5}[{x2,x3,x4}]]", 144.5, 112996.29049999997,
+        52795.096532003532},
+       {"{x1,x2,x5}[{x2,x3,x5}[{x3,x4,x5}]]", 144.5, 112996.29049999997,
+        52795.096532003532},
+       {"{x1,x2,x3}[{x1,x3,x5}[{x3,x4,x5}]]", 144.5, 112996.29049999997,
+        52795.096532003532},
+       {"{x1,x2,x3}[{x1,x3,x4}[{x1,x4,x5}]]", 144.5, 112996.29049999997,
+        52795.096532003532},
+       {"{x1,x2,x4}[{x1,x4,x5}{x2,x3,x4}]", 144, 1538302.3999999999,
+        143623.36653200354},
+       {"{x2,x3,x5}[{x1,x2,x5}{x3,x4,x5}]", 144, 1538302.3999999999,
+        143623.36653200354},
+       {"{x1,x2,x4}[{x2,x3,x4}{x1,x4,x5}]", 144, 1538302.3999999999,
+        143623.36653200354},
+       {"{x2,x4,x5}[{x1,x2,x5}{x2,x3,x4}]", 144, 1544234.3999999999,
+        149555.36653200354},
+       {"{x1,x3,x5}[{x1,x2,x3}{x3,x4,x5}]", 144, 1544234.3999999999,
+        149555.36653200354},
+       {"{x1,x3,x4}[{x1,x2,x3}{x1,x4,x5}]", 144, 1544234.3999999999,
+        149555.36653200354}});
+  expect_plans(
+      LollipopQuery(3, 2), AsymmetricDb(),
+      {{"{x3,x4}[{x1,x2,x3}{x4,x5}]", 48, 10644.525519848774,
+        379.40844071254367},
+       {"{x3,x4,x5}[{x1,x2,x3}]", 56, 12797.720226843101, 1451.4750580330469},
+       {"{x1,x2,x3}[{x3,x4}[{x4,x5}]]", 48.5, 33670, 3282.8971132494453},
+       {"{x1,x3,x4}[{x1,x2,x3}{x4,x5}]", 69, 18997.695652173916,
+        1367.3887704517974},
+       {"{x2,x3,x4}[{x1,x2,x3}{x4,x5}]", 69, 18997.695652173916,
+        1367.3887704517974},
+       {"{x1,x2,x3}[{x1,x3,x4}[{x4,x5}]]", 69.5, 33670, 3576.4257985832792},
+       {"{x1,x2,x3}[{x2,x3,x4}[{x4,x5}]]", 69.5, 33670, 3576.4257985832792},
+       {"{x1,x3,x5}[{x1,x2,x3}{x3,x4,x5}]", 144, 22849.521739130436,
+        4255.7416562477938},
+       {"{x2,x3,x5}[{x1,x2,x3}{x3,x4,x5}]", 144, 22849.521739130436,
+        4255.7416562477938},
+       {"{x1,x2,x3}[{x1,x3,x5}[{x3,x4,x5}]]", 144.5, 39158, 10383.61849215935},
+       {"{x1,x2,x3}[{x2,x3,x5}[{x3,x4,x5}]]", 144.5, 39158,
+        10383.61849215935}});
+}
+
 TEST(Planner, AlwaysReturnsAPlan) {
   Database db;
   db.Put(PreferentialAttachmentGraph("E", 60, 3, 9));
